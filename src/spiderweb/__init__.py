@@ -10,7 +10,7 @@ from .core import (
     OrderingViolated,
     SpiderwebParams,
 )
-from .intervals import Interval, IntervalScalar
+from .intervals import Interval
 from .solver import (
     BracketError,
     ContinuationSettings,
@@ -48,7 +48,6 @@ __all__ = [
     "FLOAT64",
     "INTERVAL",
     "Interval",
-    "IntervalScalar",
     "SpiderwebParams",
     "Configuration",
     "OrderingViolated",

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import solver
-from .certify import Certificate, certify as _certify
+from .certify import Certificate, CertificationFailed, certify as _certify
 from .core import Configuration, SpiderwebParams
 from .solver import ContinuationSettings
 
@@ -132,7 +132,8 @@ def _scan_one(args) -> ScanRow:
             n, ell, lam, m0, mass_spec,
             config.radii, config.residual_norm, cert, prof, "ok",
         )
-    except Exception as exc:  # per-row failures are data, not crashes
+    # classified failures are data; anything else is a bug and propagates
+    except (solver.SolverError, CertificationFailed, ValueError) as exc:
         return ScanRow(
             n, ell, lam, m0, mass_spec, None, None, None, None,
             f"{type(exc).__name__}: {exc}",

@@ -48,6 +48,7 @@ Z0_TOO_LARGE = "Z0_TOO_LARGE"
 NO_NEGATIVE_VALUE = "NO_NEGATIVE_VALUE"
 BALL_LEAVES_CONE = "BALL_LEAVES_CONE"
 SINGULAR_JACOBIAN = "SINGULAR_JACOBIAN"
+NON_FINITE_BOUND = "NON_FINITE_BOUND"
 
 
 class CertificationFailed(RuntimeError):
@@ -88,11 +89,20 @@ class HCheckReport:
     negative_value: float | None = None
 
 
+def _require_finite(bound: str, what: str, *arrays):
+    """Fail closed: max() and every comparison would pass a NaN as small."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise CertificationFailed(NON_FINITE_BOUND, f"{bound}: the {what} is not finite")
+
+
 def bound_Y0(a: np.ndarray, center, params: SpiderwebParams) -> float:
     """Rigorous upper bound of ||A f(center)||_inf."""
     center = require_cone(center)
     f = core.residual(params, Interval.point(center), INTERVAL)
-    return intervals.vector_sup_norm(intervals.matvec(np.asarray(a, dtype=np.float64), f))
+    _require_finite("Y0", "residual enclosure", f.lo, f.hi)
+    y0 = intervals.vector_sup_norm(intervals.matvec(np.asarray(a, dtype=np.float64), f))
+    _require_finite("Y0", "bound", y0)
+    return y0
 
 
 def bound_Z0(a: np.ndarray, center, params: SpiderwebParams) -> float:
@@ -101,8 +111,11 @@ def bound_Z0(a: np.ndarray, center, params: SpiderwebParams) -> float:
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
     jac = core.jacobian(params, Interval.point(center), INTERVAL)
+    _require_finite("Z0", "Jacobian enclosure", jac.lo, jac.hi)
     prod = (Interval.point(a)[:, :, None] * jac[None, :, :]).sum(axis=1)
-    return intervals.matrix_sup_norm(Interval.point(np.eye(n)) - prod)
+    z0 = intervals.matrix_sup_norm(Interval.point(np.eye(n)) - prod)
+    _require_finite("Z0", "bound", z0)
+    return z0
 
 
 def _ball_box(center, rho_star):
@@ -129,15 +142,16 @@ def bound_Z2(a: np.ndarray, center, params: SpiderwebParams, rho_star: float) ->
         raise BallLeavesCone(
             f"interval evaluation on the rho* ball hit a singularity: {exc}"
         ) from exc
+    _require_finite("Z2", "Hessian enclosure", hess.lo, hess.hi)
     n = a.shape[0]
-    worst = 0.0
+    totals = np.empty(n)
     for i in range(n):
         row = (Interval.point(a[i])[:, None, None] * hess).sum(axis=0)
-        total = intervals.pairwise_sum(
+        totals[i] = intervals.pairwise_sum(
             row.mag().reshape(-1), axis=0, rounder=lambda x: np.nextafter(x, np.inf)
         )
-        worst = max(worst, float(total))
-    return worst
+    _require_finite("Z2", "row totals", totals)
+    return float(np.max(totals))
 
 
 def radii_poly_check(Y0: float, Z0: float, Z2: float, rho_star: float):

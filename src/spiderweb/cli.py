@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__, analysis, core, solver
+from .analysis import _fmt
 from .certify import Certificate, CertificationFailed, certify as run_certify, h_ell_check
 from .core import Configuration, SpiderwebParams
 from .solver import ContinuationSettings, SolverError
@@ -27,10 +28,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_CERTIFICATION = 4
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".16e")
 
 
 def _fmt_opt(x):
@@ -132,6 +129,9 @@ def parse_document(text: str):
             rho0=_parse_real(craw["rho0"], "rho0"),
             p_at_rho0=_parse_real(craw["p_at_rho0"], "p_at_rho0"),
         )
+        # radii are in the cone (no zeros, no NaN), so == is bitwise equality
+        if not np.array_equal(cert.center, radii):
+            raise ValueError("certificate center is not bitwise equal to the radii")
     settings = _settings_from_json(doc.get("provenance", {}).get("settings"))
     return params, radii, residual_norm, cert, settings
 

@@ -230,10 +230,6 @@ FLOAT64 = _Float64Kind()
 INTERVAL = _IntervalKind()
 
 
-def _norm_inf(v) -> float:
-    return float(np.max(np.abs(np.asarray(v, dtype=np.float64))))
-
-
 # ---------------------------------------------------------------------------
 # scalar building blocks
 # ---------------------------------------------------------------------------
@@ -255,14 +251,12 @@ def _guard_phi_argument(x, ell):
     return x
 
 
-def _spoke_distances_sq(x, ell, kind, skip_k0=False):
+def _spoke_distances_sq(x, ell, kind):
     """d_k(x)^2 = 1 + x^2 - 2 x cos(2 pi k / ell) along a trailing axis, in
     the cancellation-free arrangement (x - c)^2 + (1 - c)(1 + c)."""
     if not isinstance(x, Interval):
         _guard_phi_argument(x, ell)
     c = kind.cos_angles(ell)
-    if skip_k0:
-        c = c[1:]
     x = kind.lift(x)
     xe = x[..., None]
     d2 = kind.square(xe - c) + (1.0 - c) * (1.0 + c)
@@ -350,81 +344,78 @@ def _k_chunks(ell, n):
         yield start, min(ell, start + step)
 
 
-def _pair_sums(radii, ell, kind, want):
-    """Spoke-summed pairwise kernels as (n, n) arrays with zero diagonal.
-
-    want is a subset of {"force", "jac_diag", "jac_off", "hess_diag",
-    "hess_mixed", "hess_outer"}; kernels sharing the same distance powers are
-    computed together.
-    """
-    r = kind.lift(radii)
-    n = r.shape[0]
-    eye = np.eye(n, dtype=bool)
-    eye3 = eye[:, :, None]
-    need_c2 = not want.isdisjoint({"jac_diag", "jac_off", "hess_diag", "hess_mixed", "hess_outer"})
-    need_c3 = not want.isdisjoint({"hess_mixed", "hess_outer"})
-    acc = {}
-
-    ri = r[:, None, None]
-    rj = r[None, :, None]
+def _spoke_sums(ri, rj, cos, kind, want, self_pairs=None):
+    """Spoke sums of the pair kernels in ``want`` for target radii ri and
+    source radii rj, broadcast against cos = (c1, c2, c3) whose trailing axis
+    runs over spokes.  Pairs in the ``self_pairs`` mask get distance 1 so
+    they stay finite; the caller discards them."""
+    c1, c2, c3 = cos
     ri2 = kind.square(ri)
     rj2 = kind.square(rj)
     rirj = ri * rj
 
-    cos1 = kind.cos_angles(ell)
-    cos2 = kind.cos_angles(ell, 2) if need_c2 else None
-    cos3 = kind.cos_angles(ell, 3) if need_c3 else None
+    # cancellation-free distance: (ri - rj c)^2 + rj^2 (1 - c)(1 + c)
+    d = kind.square(ri - rj * c1) + rj2 * ((1.0 - c1) * (1.0 + c1))
+    if self_pairs is not None:
+        d = kind.where(self_pairs, 1.0, d)
+    s = kind.sqrt(d)
+    s2 = kind.square(s)
+    s4 = kind.square(s2)
 
+    out = {}
+    if "force" in want:
+        p3 = s * s2
+        out["force"] = (ri - rj * c1) / p3
+    if "jac_diag" in want or "jac_off" in want:
+        p5 = s * s4
+        if "jac_diag" in want:
+            num = 4.0 * ri2 + rj2 - 8.0 * (rirj * c1) + 3.0 * (rj2 * c2)
+            out["jac_diag"] = num / p5
+        if "jac_off" in want:
+            num = rirj * (7.0 + c2) - 4.0 * ((ri2 + rj2) * c1)
+            out["jac_off"] = num / p5
+    if not want.isdisjoint({"hess_diag", "hess_mixed", "hess_outer"}):
+        p7 = s * s2 * s4
+        if "hess_diag" in want:
+            num = (ri - rj * c1) * (
+                4.0 * ri2 - rj2 - 8.0 * (rirj * c1) + 5.0 * (rj2 * c2)
+            )
+            out["hess_diag"] = num / p7
+        if "hess_mixed" in want:
+            num = (
+                (ri * (8.0 * ri2 + 23.0 * rj2)) * c1
+                - rj * (20.0 * ri2 + 2.0 * rj2)
+                - (rj * (4.0 * ri2 + 6.0 * rj2)) * c2
+                + (ri * rj2) * c3
+            )
+            out["hess_mixed"] = num / p7
+        if "hess_outer" in want:
+            num = (
+                (rj * (8.0 * rj2 + 23.0 * ri2)) * c1
+                - ri * (20.0 * rj2 + 2.0 * ri2)
+                - (ri * (4.0 * rj2 + 6.0 * ri2)) * c2
+                + (ri2 * rj) * c3
+            )
+            out["hess_outer"] = num / p7
+    return {name: kind.sum(block, axis=-1) for name, block in out.items()}
+
+
+def _pair_sums(radii, ell, kind, want):
+    """Spoke-summed pairwise kernels as (n, n) arrays with zero diagonal.
+
+    want is a subset of {"force", "jac_diag", "jac_off", "hess_diag",
+    "hess_mixed", "hess_outer"}; see :func:`_spoke_sums`.
+    """
+    r = kind.lift(radii)
+    n = r.shape[0]
+    eye = np.eye(n, dtype=bool)
+    tables = [kind.cos_angles(ell, mult) for mult in (1, 2, 3)]
+    acc = {}
     for a, b in _k_chunks(ell, n):
-        c1 = cos1[a:b][None, None, :]
-        c2 = cos2[a:b][None, None, :] if need_c2 else None
-        c3 = cos3[a:b][None, None, :] if need_c3 else None
-
-        # cancellation-free distance: (ri - rj c)^2 + rj^2 (1 - c)(1 + c)
-        d = kind.square(ri - rj * c1) + rj2 * ((1.0 - c1) * (1.0 + c1))
-        dsafe = kind.where(eye3, 1.0, d)
-        s = kind.sqrt(dsafe)
-        s2 = kind.square(s)
-        s4 = kind.square(s2)
-
-        chunk = {}
-        if "force" in want:
-            p3 = s * s2
-            chunk["force"] = (ri - rj * c1) / p3
-        if "jac_diag" in want or "jac_off" in want:
-            p5 = s * s4
-            if "jac_diag" in want:
-                num = 4.0 * ri2 + rj2 - 8.0 * (rirj * c1) + 3.0 * (rj2 * c2)
-                chunk["jac_diag"] = num / p5
-            if "jac_off" in want:
-                num = rirj * (7.0 + c2) - 4.0 * ((ri2 + rj2) * c1)
-                chunk["jac_off"] = num / p5
-        if need_c3 or "hess_diag" in want:
-            p7 = s * s2 * s4
-            if "hess_diag" in want:
-                num = (ri - rj * c1) * (
-                    4.0 * ri2 - rj2 - 8.0 * (rirj * c1) + 5.0 * (rj2 * c2)
-                )
-                chunk["hess_diag"] = num / p7
-            if "hess_mixed" in want:
-                num = (
-                    (ri * (8.0 * ri2 + 23.0 * rj2)) * c1
-                    - rj * (20.0 * ri2 + 2.0 * rj2)
-                    - (rj * (4.0 * ri2 + 6.0 * rj2)) * c2
-                    + (ri * rj2) * c3
-                )
-                chunk["hess_mixed"] = num / p7
-            if "hess_outer" in want:
-                num = (
-                    (rj * (8.0 * rj2 + 23.0 * ri2)) * c1
-                    - ri * (20.0 * rj2 + 2.0 * ri2)
-                    - (ri * (4.0 * rj2 + 6.0 * ri2)) * c2
-                    + (ri2 * rj) * c3
-                )
-                chunk["hess_outer"] = num / p7
-
-        for name, block in chunk.items():
-            part = kind.sum(block, axis=-1)
+        cos = [c[a:b][None, None, :] for c in tables]
+        chunk = _spoke_sums(r[:, None, None], r[None, :, None], cos, kind, want,
+                            self_pairs=eye[:, :, None])
+        for name, part in chunk.items():
             acc[name] = part if name not in acc else acc[name] + part
 
     zero = kind.lift(0.0)
@@ -619,17 +610,22 @@ def lambda_gaps(params: SpiderwebParams, radii, kind=FLOAT64):
 
 def probe_ring_lambda(params: SpiderwebParams, radii, s: float) -> float:
     """lambda of a massless probe ring at radius s inserted into an existing
-    system; s may sit anywhere strictly between, below or above the radii."""
+    system; s may sit anywhere strictly between, below or above the radii.
+
+    Only the probe's row is evaluated, in O(n ell).  The massless self term
+    leaves the central one, and the dropped self pair is an exact trailing
+    zero of each pairwise sum, so this is bitwise the last row of the full
+    kernel whenever that kernel runs in one k-chunk."""
     radii = require_cone(radii)
     s = float(s)
-    if s <= 0.0:
-        raise OrderingViolated(f"probe radius must be positive, got {s}")
+    if not np.isfinite(s) or s <= 0.0:
+        raise OrderingViolated(f"probe radius must be finite and positive, got {s}")
     if np.any(radii == s):
         raise CollisionError(f"probe radius {s} coincides with an existing ring")
-    r_ext = np.append(radii, s)
-    m_ext = np.append(params.masses, 0.0)
-    force = _force_per_mass(r_ext, m_ext, params.m0, params.ell, FLOAT64)
-    return float(force[-1] / s)
+    cos = (FLOAT64.cos_angles(params.ell), None, None)
+    row = _spoke_sums(s, radii[:, None], cos, FLOAT64, {"force"})["force"]
+    force = -(params.m0 / FLOAT64.square(s)) - FLOAT64.sum(row * params.masses, axis=0)
+    return float(force / s)
 
 
 def jacobian_row_sums(jac, kind=FLOAT64):

@@ -139,20 +139,8 @@ class Interval:
         m = np.minimum(np.abs(self.lo), np.abs(self.hi))
         return np.where((self.lo <= 0.0) & (self.hi >= 0.0), 0.0, m)
 
-    def contains(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return (self.lo <= x) & (x <= self.hi)
-
     def contains_zero(self):
         return (self.lo <= 0.0) & (self.hi >= 0.0)
-
-    def intersect(self, other):
-        other = _coerce(other)
-        lo = np.maximum(self.lo, other.lo)
-        hi = np.minimum(self.hi, other.hi)
-        if not np.all(lo <= hi):
-            raise IntervalError("empty intersection")
-        return Interval._make(lo, hi)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -211,10 +199,6 @@ def _coerce(x):
     if isinstance(x, Interval):
         return x
     return Interval.point(x)
-
-
-#: A scalar interval is simply a 0-d Interval.
-IntervalScalar = Interval
 
 
 def interval(lo, hi=None):

@@ -71,8 +71,10 @@ class BracketError(SolverError):
 class ContinuationSettings:
     """Tuning knobs for Newton iteration, bisection and mass continuation.
 
-    ``mass_step_init=None`` means one eighth of the target mass;
-    ``bisect_tol=None`` means 1e-13 times the outermost radius.
+    ``mass_step_init=None`` means the full target mass, so continuation
+    first tries to add the whole ring in one Newton solve and halves the step
+    only when that fails; ``bisect_tol=None`` means 1e-13 times the outermost
+    radius.
     """
 
     mass_step_init: float | None = None
@@ -284,7 +286,7 @@ def continue_mass(
 
     ``params`` describes the n base rings; ``radii`` has n+1 entries and must
     solve the system at zero appended mass.  Constant predictor, damped
-    Newton corrector, adaptive mass step.
+    Newton corrector, adaptive mass step (the full mass first by default).
     """
     settings = settings or ContinuationSettings()
     r = require_cone(radii)
@@ -309,7 +311,7 @@ def continue_mass(
     if target_mass == 0.0:
         return Configuration(_extend_params(params, 0.0), r, norm0)
 
-    step_init = settings.mass_step_init or target_mass / 8.0
+    step_init = settings.mass_step_init or target_mass
     step = step_init
     m_cur = 0.0
     norm = norm0

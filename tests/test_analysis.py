@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spiderweb import solver
+from spiderweb import analysis, solver
 from spiderweb.analysis import (
     kappa,
     mass_profile,
@@ -16,6 +16,7 @@ from spiderweb.analysis import (
     spacing_profile,
     write_scan_csv,
 )
+from spiderweb.certify import CertificationFailed
 from spiderweb.core import Configuration, SpiderwebParams
 
 
@@ -176,6 +177,24 @@ def test_scan_records_failures_as_rows():
     bad = [row for row in rows if row.status != "ok"]
     assert len(bad) == 1 and bad[0].n == 25
     assert "positive" in bad[0].status
+
+
+def test_scan_records_certification_failures_as_rows(monkeypatch):
+    def refuse(config):
+        raise CertificationFailed("Z0_TOO_LARGE", "injected")
+
+    monkeypatch.setattr(analysis, "_certify", refuse)
+    rows = scan(1, [2], "equal:1")
+    assert rows[0].status == "CertificationFailed: Z0_TOO_LARGE: injected"
+
+
+def test_scan_propagates_programming_errors(monkeypatch):
+    def broken(params, settings):
+        raise TypeError("injected programming error")
+
+    monkeypatch.setattr(solver, "build_configuration", broken)
+    with pytest.raises(TypeError, match="injected"):
+        scan(1, [2], "equal:1")
 
 
 def test_scan_parallel_matches_serial():

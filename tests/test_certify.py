@@ -252,6 +252,61 @@ def test_certify_retry_ladder_reports_rho_star_advice():
     assert excinfo.value.reason == cz.NO_NEGATIVE_VALUE
 
 
+def _poison(real, index):
+    """Wrap an interval kernel so that one entry of its enclosure is NaN."""
+    calls = []
+
+    def wrapped(params, radii, kind=core.FLOAT64):
+        out = real(params, radii, kind)
+        if kind.is_interval:
+            calls.append(kind)
+            out.lo[index] = np.nan
+            out.hi[index] = np.nan
+        return out
+
+    return wrapped, calls
+
+
+def test_Z2_fails_closed_on_nan_hessian_enclosure(monkeypatch):
+    c = solved(3, 6)
+    a = np.linalg.inv(core.jacobian(c.params, c.radii))
+    # every row total is NaN then, and max(0.0, nan) would fold them to Z2 = 0
+    hessian, calls = _poison(core.hessian, (1, 1, 1))
+    monkeypatch.setattr(core, "hessian", hessian)
+    with pytest.raises(cz.CertificationFailed) as excinfo:
+        cz.bound_Z2(a, c.radii, c.params, 1e-6)
+    assert excinfo.value.reason == cz.NON_FINITE_BOUND
+    calls.clear()
+    with pytest.raises(cz.CertificationFailed) as excinfo:
+        cz.certify(c)
+    assert excinfo.value.reason == cz.NON_FINITE_BOUND
+    assert len(calls) == 1  # no rho* retry
+
+
+def test_Z0_and_Y0_fail_closed_on_nan_enclosures(monkeypatch):
+    c = solved(3, 6)
+    a = np.linalg.inv(core.jacobian(c.params, c.radii))
+    jacobian, _ = _poison(core.jacobian, (2, 0))
+    monkeypatch.setattr(core, "jacobian", jacobian)
+    for run in (lambda: cz.bound_Z0(a, c.radii, c.params), lambda: cz.certify(c)):
+        with pytest.raises(cz.CertificationFailed) as excinfo:
+            run()
+        assert excinfo.value.reason == cz.NON_FINITE_BOUND
+    monkeypatch.undo()
+    residual, _ = _poison(core.residual, (0,))
+    monkeypatch.setattr(core, "residual", residual)
+    with pytest.raises(cz.CertificationFailed) as excinfo:
+        cz.bound_Y0(a, c.radii, c.params)
+    assert excinfo.value.reason == cz.NON_FINITE_BOUND
+
+
+def test_Z0_fails_closed_on_overflow():
+    c = solved(2, 4)
+    with np.errstate(over="ignore"), pytest.raises(cz.CertificationFailed) as excinfo:
+        cz.bound_Z0(np.full((2, 2), 1e308), c.radii, c.params)
+    assert excinfo.value.reason == cz.NON_FINITE_BOUND
+
+
 # ---------------------------------------------------------------------------
 # h_ell positivity proofs
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from spiderweb import cli
+from spiderweb import cli, core
 from spiderweb.cli import (
     EXIT_CERTIFICATION,
     EXIT_OK,
@@ -182,3 +183,38 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     code = run(["solve", "--n", 2, "--ell", 4, "--masses", "equal:1",
                 "--tol", 1e-30, "--out", tmp_path / "x.json"])
     assert code == EXIT_SOLVER
+
+
+def test_detached_certificate_center_is_rejected(tmp_path, capsys):
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--n", 3, "--ell", 5, "--masses", "equal:1",
+                "--out", out]) == EXIT_OK
+    assert run(["certify", "--input", out]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    center = [float(x) for x in doc["certificate"]["center"]]
+    center[1] = float(np.nextafter(center[1], np.inf))  # one ulp off the radius
+    doc["certificate"]["center"] = [cli._fmt(x) for x in center]
+    text = emit_document(doc)
+    with pytest.raises(ValueError, match="bitwise"):
+        parse_document(text)
+    out.write_text(text)
+    capsys.readouterr()
+    assert run(["analyze", "--input", out, "--out", tmp_path / "a.csv"]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["exit_code"] == EXIT_VALIDATION
+
+
+def test_non_finite_bound_exit_code(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--n", 2, "--ell", 4, "--masses", "equal:1",
+                "--out", out]) == EXIT_OK
+    real = core.hessian
+
+    def nan_hessian(params, radii, kind):
+        h = real(params, radii, kind)
+        h.hi[0, 0, 0] = np.nan
+        return h
+
+    monkeypatch.setattr(core, "hessian", nan_hessian)
+    capsys.readouterr()
+    assert run(["certify", "--input", out]) == EXIT_CERTIFICATION
+    assert "NON_FINITE_BOUND" in json.loads(capsys.readouterr().err)["message"]

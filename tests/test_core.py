@@ -493,6 +493,46 @@ def test_probe_lambda_rejects_collisions():
         core.probe_ring_lambda(p, r, 2.2)
 
 
+def _probe_oracle(p, r, s):
+    """The probe's lambda read off the last row of the full (n+1)-ring kernel."""
+    r_ext, m_ext = np.append(r, s), np.append(p.masses, 0.0)
+    return float(core._force_per_mass(r_ext, m_ext, p.m0, p.ell, FLOAT64)[-1] / s)
+
+
+def test_probe_lambda_is_bitwise_the_full_kernel_row():
+    rng = np.random.default_rng(RNG_SEED)
+    for _ in range(150):
+        n = int(rng.integers(1, 41))
+        ell = int(rng.integers(2, 81))
+        assert (n + 1) ** 2 * ell <= core._CHUNK_ELEMS  # one k-chunk
+        r = np.cumsum(rng.uniform(0.05, 1.0, size=n)) + rng.uniform(0.1, 2.0)
+        m = rng.uniform(0.1, 3.0, size=n)
+        m0 = float(rng.uniform(0.0, 2.0)) if rng.random() < 0.5 else 0.0
+        p = SpiderwebParams(n, ell, m0, m, -1.0)
+        probes = [r[0] * rng.uniform(0.05, 0.95), r[-1] * rng.uniform(1.05, 4.0)]
+        probes += [rng.uniform(a, b) for a, b in zip(r[:-1], r[1:])][:3]
+        for s in probes:
+            assert core.probe_ring_lambda(p, r, s) == _probe_oracle(p, r, s)
+
+
+def test_probe_lambda_matches_multi_chunk_kernel():
+    n, ell = 150, 200
+    assert (n + 1) ** 2 * ell > core._CHUNK_ELEMS  # the oracle runs in chunks
+    r = np.linspace(1.0, 4.0, n)
+    p = SpiderwebParams(n, ell, 0.5, np.linspace(2.0, 0.5, n), -1.0)
+    for s in (0.5, 2.0 + 1e-3, 6.0):
+        assert core.probe_ring_lambda(p, r, s) == pytest.approx(
+            _probe_oracle(p, r, s), rel=1e-13
+        )
+
+
+def test_probe_lambda_rejects_non_finite_radius():
+    p = SpiderwebParams(2, 5, 0.0, np.array([1.0, 2.0]), -1.0)
+    for s in (np.inf, np.nan, 0.0):
+        with pytest.raises(OrderingViolated):
+            core.probe_ring_lambda(p, np.array([1.0, 2.2]), s)
+
+
 # ---------------------------------------------------------------------------
 # interval soundness: float results sit inside interval enclosures
 # ---------------------------------------------------------------------------

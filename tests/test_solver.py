@@ -294,6 +294,27 @@ def test_continuation_endpoint_agrees_with_direct_solve():
         assert np.allclose(grown.radii, direct.radii, rtol=1e-9)
 
 
+def test_continuation_tries_full_mass_then_falls_back_to_halving(monkeypatch):
+    base = build_configuration(SpiderwebParams(4, 8, 0.0, np.ones(4), -1.0))
+    ext = insert_zero_mass_ring(base, gap=4)
+    real = solver._newton_raw
+    tried = []
+
+    def full_step_fails(r0, masses, *args):
+        tried.append(masses[-1])
+        if len(tried) == 1:
+            raise NewtonDiverged("forced failure of the full-mass step")
+        return real(r0, masses, *args)
+
+    monkeypatch.setattr(solver, "_newton_raw", full_step_fails)
+    grown = continue_mass(base.params, ext, 1.0)
+    monkeypatch.undo()
+    assert tried[:2] == [1.0, 0.5] and tried[-1] == 1.0
+    full = SpiderwebParams(5, 8, 0.0, np.ones(5), -1.0)
+    direct = newton_solve(full, np.linspace(0.8, 0.8 * 5 + 0.3, 5))
+    assert np.allclose(grown.radii, direct.radii, rtol=1e-9)
+
+
 def test_build_matches_high_precision_oracle():
     """Independent 40-digit Newton solve of the same system (separate
     formula transcription, separate arithmetic) pins the float radii."""
