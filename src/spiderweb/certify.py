@@ -11,6 +11,15 @@ and a root of p(rho) = Z2 rho^2 - (1 - Z0) rho + Y0 with p(rho0) < 0 (checked
 again in interval arithmetic) proves that A is invertible and that a unique
 true configuration lies within rho0 of the numerical one.
 
+At most 3n^2 - 2n of the n^3 Hessian entries are nonzero, held in the parts
+(diag, M = t_mixed, t_outer) of core.hessian_parts.  With T = t_outer carrying
+diag on its diagonal, row i of the Z2 fold is
+
+    sum_l |sum_m A_im T[m, l]| + sum_{l != j} |A_il M[l, j] + A_ij M[j, l]|,
+
+which costs O(n^3) time and O(n^2 * block) memory for blocks of rows, against
+O(n^4) and O(n^3) for a fold over the dense tensor.
+
 The module also carries the computer-assisted positivity check of the
 row-dominance kernel h_ell on [0, 1] (rigorous slope bound plus a verified
 grid) and the strict diagonal-dominance check of the Jacobian.
@@ -128,27 +137,51 @@ def _ball_box(center, rho_star):
     return Interval(lo, hi)
 
 
+def _require_rho_star(rho_star: float, name: str = "rho_star"):
+    """A ball radius that is NaN, infinite or not positive proves nothing."""
+    if not (np.isfinite(rho_star) and rho_star > 0):
+        raise ValueError(f"{name} must be finite and positive, got {rho_star}")
+
+
 def bound_Z2(a: np.ndarray, center, params: SpiderwebParams, rho_star: float) -> float:
     """Rigorous upper bound, uniform over the rho*-ball, of
-    max_i sum_{l,j} |sum_m A_im d^2_{lj} f_m|, the row-folded Hessian norm."""
+    max_i sum_{l,j} |sum_m A_im d^2_{lj} f_m|, the row-folded Hessian norm.
+
+    The fold runs over the Hessian's parts, never over the (n, n, n) tensor:
+    row i is sum_l |sum_m A_im T[m, l]| + sum_{l != j} |A_il M[l, j] + A_ij M[j, l]|
+    (see the module docstring), and the magnitudes of its n^2 entries go into
+    one upward-rounded pairwise sum.  Rows are folded in blocks of at most
+    _CHUNK_ELEMS // n^2 (at least one), in O(n^3) time and O(n^2 * block)
+    memory."""
     center = require_cone(center)
-    if rho_star <= 0:
-        raise ValueError(f"rho_star must be positive, got {rho_star}")
+    _require_rho_star(rho_star)
     a = np.asarray(a, dtype=np.float64)
     box = _ball_box(center, rho_star)
     try:
-        hess = core.hessian(params, box, INTERVAL)
+        diag, t_mixed, t_outer = core.hessian_parts(params, box, INTERVAL)
     except (intervals.NegativeSqrt, intervals.DivisionByZeroInterval) as exc:
         raise BallLeavesCone(
             f"interval evaluation on the rho* ball hit a singularity: {exc}"
         ) from exc
-    _require_finite("Z2", "Hessian enclosure", hess.lo, hess.hi)
+    _require_finite(
+        "Z2", "Hessian enclosure",
+        diag.lo, diag.hi, t_mixed.lo, t_mixed.hi, t_outer.lo, t_outer.hi,
+    )
     n = a.shape[0]
+    idx = np.arange(n)
+    t = Interval._make(t_outer.lo.copy(), t_outer.hi.copy())
+    t.lo[idx, idx], t.hi[idx, idx] = diag.lo, diag.hi
+    m_lj = t_mixed[None]
+    m_jl = Interval._make(t_mixed.lo.T, t_mixed.hi.T)[None]
+    block = max(1, core._CHUNK_ELEMS // (n * n))
     totals = np.empty(n)
-    for i in range(n):
-        row = (Interval.point(a[i])[:, None, None] * hess).sum(axis=0)
-        totals[i] = intervals.pairwise_sum(
-            row.mag().reshape(-1), axis=0, rounder=lambda x: np.nextafter(x, np.inf)
+    for start in range(0, n, block):
+        rows = Interval.point(a[start:start + block])
+        mags = (rows[:, :, None] * m_lj + rows[:, None, :] * m_jl).mag()
+        mags[:, idx, idx] = (rows[:, :, None] * t[None]).sum(axis=1).mag()
+        totals[start:start + block] = intervals.pairwise_sum(
+            mags.reshape(mags.shape[0], -1), axis=1,
+            rounder=lambda x: np.nextafter(x, np.inf),
         )
     _require_finite("Z2", "row totals", totals)
     return float(np.max(totals))
@@ -163,8 +196,7 @@ def radii_poly_check(Y0: float, Z0: float, Z2: float, rho_star: float):
     for name, v in (("Y0", Y0), ("Z0", Z0), ("Z2", Z2)):
         if not np.isfinite(v) or v < 0:
             raise ValueError(f"{name} must be finite and nonnegative, got {v}")
-    if rho_star <= 0:
-        raise ValueError(f"rho_star must be positive, got {rho_star}")
+    _require_rho_star(rho_star)
     if Z0 >= 1.0:
         raise CertificationFailed(
             Z0_TOO_LARGE, f"Z0 = {Z0:.6g} >= 1, A is too far from the true inverse",
@@ -220,6 +252,8 @@ def certify(
     within rho0 of the numerical radii."""
     params = config.params
     center = require_cone(config.radii)
+    rho_base = float(rho_star_init) if rho_star_init is not None else default_rho_star(center)
+    _require_rho_star(rho_base, "rho_star_init")
     jac = core.jacobian(params, center, FLOAT64)
     try:
         a = np.linalg.inv(jac)
@@ -233,11 +267,9 @@ def certify(
         raise CertificationFailed(
             Z0_TOO_LARGE, f"Z0 = {z0:.6g} >= 1 at the given center", Z0=z0
         )
-    rho_base = float(rho_star_init) if rho_star_init is not None else default_rho_star(center)
-    if rho_base <= 0:
-        raise ValueError(f"rho_star_init must be positive, got {rho_star_init}")
     ladder = [rho_base * 0.5**i for i in range(retries + 1)]
     ladder += [rho_base * 2.0**i for i in range(1, retries + 1)]
+    ladder = [r for r in ladder if np.isfinite(r) and r > 0]  # no over/underflow
     failure: CertificationFailed | None = None
     for rho_star in ladder:
         try:

@@ -41,6 +41,7 @@ __all__ = [
     "jacobian",
     "jacobian_phi_form",
     "hessian",
+    "hessian_parts",
     "lambda_values",
     "lambda_gaps",
     "probe_ring_lambda",
@@ -479,7 +480,6 @@ def _hessian_raw(radii, masses, m0, ell, kind):
         _check_distinct_positive(radii)
     r = kind.lift(radii)
     m = kind.lift(np.asarray(masses, dtype=np.float64))
-    n = r.shape[0]
     z = zeta(ell, kind)
     sqrt2 = kind.sqrt(kind.lift(2.0))
     r4 = kind.square(kind.square(r))
@@ -491,18 +491,7 @@ def _hessian_raw(radii, masses, m0, ell, kind):
     )
     t_mixed = -0.75 * (sums["hess_mixed"] * m[None, :])
     t_outer = -0.75 * (sums["hess_outer"] * m[None, :])
-
-    i_ix, l_ix, j_ix = np.ogrid[0:n, 0:n, 0:n]
-    on_diag = (i_ix == l_ix) & (l_ix == j_ix)
-    l_is_i = (l_ix == i_ix) & (j_ix != i_ix)
-    j_is_i = (j_ix == i_ix) & (l_ix != i_ix)
-    l_eq_j = (l_ix == j_ix) & (j_ix != i_ix)
-
-    zero = kind.lift(0.0)
-    out = kind.where(l_eq_j, t_outer[:, None, :], zero)
-    out = kind.where(j_is_i, t_mixed[:, :, None], out)
-    out = kind.where(l_is_i, t_mixed[:, None, :], out)
-    return kind.where(on_diag, diag[:, None, None], out)
+    return diag, t_mixed, t_outer
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +577,32 @@ def jacobian_phi_form(params: SpiderwebParams, radii, kind=FLOAT64):
     return np.array(rows, dtype=np.float64)
 
 
-def hessian(params: SpiderwebParams, radii, kind=FLOAT64):
-    """Second-derivative tensor H[i, l, j] = d^2 f_i / (dr_l dr_j)."""
+def hessian_parts(params: SpiderwebParams, radii, kind=FLOAT64):
+    """The Hessian's nonzero parts (diag, t_mixed, t_outer), of shapes (n,),
+    (n, n) and (n, n): H[i, i, i] = diag[i], H[i, i, j] = H[i, j, i] =
+    t_mixed[i, j] and H[i, j, j] = t_outer[i, j] for j != i; every other
+    entry is zero."""
     radii = _validate_radii(radii, kind)
     return _hessian_raw(radii, params.masses, params.m0, params.ell, kind)
+
+
+def hessian(params: SpiderwebParams, radii, kind=FLOAT64):
+    """Second-derivative tensor H[i, l, j] = d^2 f_i / (dr_l dr_j), scattered
+    from :func:`hessian_parts`: at most 3n^2 - 2n of its n^3 entries are
+    nonzero."""
+    diag, t_mixed, t_outer = hessian_parts(params, radii, kind)
+    n = params.n
+    i_ix, l_ix, j_ix = np.ogrid[0:n, 0:n, 0:n]
+    on_diag = (i_ix == l_ix) & (l_ix == j_ix)
+    l_is_i = (l_ix == i_ix) & (j_ix != i_ix)
+    j_is_i = (j_ix == i_ix) & (l_ix != i_ix)
+    l_eq_j = (l_ix == j_ix) & (j_ix != i_ix)
+
+    zero = kind.lift(0.0)
+    out = kind.where(l_eq_j, t_outer[:, None, :], zero)
+    out = kind.where(j_is_i, t_mixed[:, :, None], out)
+    out = kind.where(l_is_i, t_mixed[:, None, :], out)
+    return kind.where(on_diag, diag[:, None, None], out)
 
 
 def lambda_values(params: SpiderwebParams, radii, kind=FLOAT64):

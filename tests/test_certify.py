@@ -8,7 +8,7 @@ import pytest
 from spiderweb import certify as cz
 from spiderweb import core, solver
 from spiderweb.core import Configuration, SpiderwebParams
-from spiderweb.intervals import Interval
+from spiderweb.intervals import Interval, pairwise_sum
 
 
 def solved(n, ell, m0=0.0, masses=None, lam=-1.0, **kw):
@@ -106,6 +106,84 @@ def test_Z2_weakly_decreasing_in_rho_star():
     z_big = cz.bound_Z2(a, c.radii, c.params, 1e-3)
     z_small = cz.bound_Z2(a, c.radii, c.params, 1e-5)
     assert z_small <= z_big
+
+
+def _dense_Z2_oracle(a, center, params, rho_star):
+    """The row fold over the dense (n, n, n) interval Hessian, O(n^4)."""
+    hess = core.hessian(params, cz._ball_box(np.asarray(center), rho_star), core.INTERVAL)
+    totals = []
+    for i in range(a.shape[0]):
+        row = (Interval.point(a[i])[:, None, None] * hess).sum(axis=0)
+        totals.append(pairwise_sum(
+            row.mag().reshape(-1), axis=0, rounder=lambda x: np.nextafter(x, np.inf)
+        ))
+    return float(np.max(totals))
+
+
+def _random_Z2_case(rng, n):
+    m0 = float(rng.choice([0.0, rng.uniform(0.1, 2.0)]))
+    masses = rng.choice([0.5, 1.0, 3.0], size=n) * rng.uniform(0.5, 2.0, size=n)
+    params = SpiderwebParams(n, int(rng.integers(2, 10)), m0, masses, -1.0)
+    radii = np.cumsum(rng.uniform(0.3, 1.5, size=n))
+    if rng.random() < 0.5:
+        a = np.linalg.inv(core.jacobian(params, radii))
+    else:
+        a = rng.normal(size=(n, n))
+    return a, radii, params
+
+
+def test_Z2_matches_dense_fold_oracle():
+    rng = np.random.default_rng(2024)
+    for n in range(1, 7):
+        for _ in range(6):
+            a, radii, params = _random_Z2_case(rng, n)
+            for rho_star in (1e-9, 1e-6, 1e-3):
+                z2 = cz.bound_Z2(a, radii, params, rho_star)
+                oracle = _dense_Z2_oracle(a, radii, params, rho_star)
+                assert z2 == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+def test_Z2_blocked_fold_matches_one_pass(monkeypatch):
+    rng = np.random.default_rng(7)
+    a, radii, params = _random_Z2_case(rng, 5)
+    one_pass = cz.bound_Z2(a, radii, params, 1e-6)
+    # blocks of 2, 1 and 1 (the floor) rows of the 5
+    for elems in (2 * 25 + 7, 25, 3):
+        monkeypatch.setattr(core, "_CHUNK_ELEMS", elems)
+        blocked = cz.bound_Z2(a, radii, params, 1e-6)
+        assert blocked == pytest.approx(one_pass, rel=1e-12, abs=0.0)
+        assert blocked == pytest.approx(_dense_Z2_oracle(a, radii, params, 1e-6), rel=1e-12)
+
+
+def test_certify_never_builds_the_dense_hessian(monkeypatch):
+    c = solved(4, 8, m0=0.5, masses=[1.0, 0.5, 2.0, 1.5])
+
+    def dense(*args, **kwargs):
+        raise AssertionError("certify built the dense n^3 Hessian")
+
+    monkeypatch.setattr(core, "hessian", dense)
+    cert = cz.certify(c)
+    assert cert.p_at_rho0 < 0.0
+
+
+@pytest.mark.parametrize("rho_star", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-6])
+def test_non_finite_or_nonpositive_rho_star_is_rejected(rho_star):
+    with pytest.raises(ValueError, match="finite and positive"):
+        cz.radii_poly_check(1e-12, 0.1, 1.0, rho_star)
+    c = solved(2, 5)
+    a = np.linalg.inv(core.jacobian(c.params, c.radii))
+    with pytest.raises(ValueError, match="finite and positive"):
+        cz.bound_Z2(a, c.radii, c.params, rho_star)
+    with pytest.raises(ValueError, match="finite and positive"):
+        cz.certify(c, rho_star_init=rho_star)
+
+
+def test_certify_ladder_stops_before_rho_star_overflow():
+    # the doubling rungs of 1e308 overflow to inf; they are dropped, and the
+    # finite rungs all leave the cone
+    c = solved(2, 5)
+    with pytest.raises(cz.BallLeavesCone):
+        cz.certify(c, rho_star_init=1e308)
 
 
 def test_Z2_ball_must_stay_in_cone():
@@ -252,35 +330,44 @@ def test_certify_retry_ladder_reports_rho_star_advice():
     assert excinfo.value.reason == cz.NO_NEGATIVE_VALUE
 
 
-def _poison(real, index):
-    """Wrap an interval kernel so that one entry of its enclosure is NaN."""
+def _poison(real, index, part=None):
+    """Wrap an interval kernel so that one entry of its enclosure (of its
+    ``part``-th output, for a kernel that returns a tuple) is NaN."""
     calls = []
 
     def wrapped(params, radii, kind=core.FLOAT64):
         out = real(params, radii, kind)
         if kind.is_interval:
             calls.append(kind)
-            out.lo[index] = np.nan
-            out.hi[index] = np.nan
+            iv = out if part is None else out[part]
+            iv.lo[index] = np.nan
+            iv.hi[index] = np.nan
         return out
 
     return wrapped, calls
 
 
+# one entry of each Hessian part: diag, t_mixed (a diagonal entry, which the
+# fold never reads, must fail closed too) and t_outer
+_HESSIAN_POISON = [(0, (1,)), (1, (0, 2)), (1, (1, 1)), (2, (2, 1))]
+
+
 def test_Z2_fails_closed_on_nan_hessian_enclosure(monkeypatch):
     c = solved(3, 6)
     a = np.linalg.inv(core.jacobian(c.params, c.radii))
-    # every row total is NaN then, and max(0.0, nan) would fold them to Z2 = 0
-    hessian, calls = _poison(core.hessian, (1, 1, 1))
-    monkeypatch.setattr(core, "hessian", hessian)
-    with pytest.raises(cz.CertificationFailed) as excinfo:
-        cz.bound_Z2(a, c.radii, c.params, 1e-6)
-    assert excinfo.value.reason == cz.NON_FINITE_BOUND
-    calls.clear()
-    with pytest.raises(cz.CertificationFailed) as excinfo:
-        cz.certify(c)
-    assert excinfo.value.reason == cz.NON_FINITE_BOUND
-    assert len(calls) == 1  # no rho* retry
+    real = core.hessian_parts
+    for part, index in _HESSIAN_POISON:
+        # row totals would be NaN then, and max(0.0, nan) would fold them to Z2 = 0
+        parts, calls = _poison(real, index, part)
+        monkeypatch.setattr(core, "hessian_parts", parts)
+        with pytest.raises(cz.CertificationFailed) as excinfo:
+            cz.bound_Z2(a, c.radii, c.params, 1e-6)
+        assert excinfo.value.reason == cz.NON_FINITE_BOUND
+        calls.clear()
+        with pytest.raises(cz.CertificationFailed) as excinfo:
+            cz.certify(c)
+        assert excinfo.value.reason == cz.NON_FINITE_BOUND
+        assert len(calls) == 1  # no rho* retry
 
 
 def test_Z0_and_Y0_fail_closed_on_nan_enclosures(monkeypatch):

@@ -207,14 +207,25 @@ def test_non_finite_bound_exit_code(tmp_path, capsys, monkeypatch):
     out = tmp_path / "sol.json"
     assert run(["solve", "--n", 2, "--ell", 4, "--masses", "equal:1",
                 "--out", out]) == EXIT_OK
-    real = core.hessian
+    real = core.hessian_parts
+    for part, index in ((0, (0,)), (1, (0, 1)), (2, (1, 0))):
 
-    def nan_hessian(params, radii, kind):
-        h = real(params, radii, kind)
-        h.hi[0, 0, 0] = np.nan
-        return h
+        def nan_hessian(params, radii, kind, part=part, index=index):
+            parts = real(params, radii, kind)
+            parts[part].hi[index] = np.nan
+            return parts
 
-    monkeypatch.setattr(core, "hessian", nan_hessian)
+        monkeypatch.setattr(core, "hessian_parts", nan_hessian)
+        capsys.readouterr()
+        assert run(["certify", "--input", out]) == EXIT_CERTIFICATION
+        assert "NON_FINITE_BOUND" in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("rho_star", ["nan", "inf", "0"])
+def test_certify_rejects_bad_rho_star(tmp_path, capsys, rho_star):
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--n", 2, "--ell", 4, "--masses", "equal:1",
+                "--out", out]) == EXIT_OK
     capsys.readouterr()
-    assert run(["certify", "--input", out]) == EXIT_CERTIFICATION
-    assert "NON_FINITE_BOUND" in json.loads(capsys.readouterr().err)["message"]
+    assert run(["certify", "--input", out, "--rho-star", rho_star]) == EXIT_VALIDATION
+    assert "finite and positive" in json.loads(capsys.readouterr().err)["message"]
