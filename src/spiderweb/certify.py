@@ -33,7 +33,6 @@ import numpy as np
 
 from . import core, intervals
 from .core import FLOAT64, INTERVAL, Configuration, SpiderwebParams, require_cone
-from .core import h_ell  # noqa: F401  (re-exported: the kernel behind eq-9 rows)
 from .intervals import Interval
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "bound_Z2",
     "radii_poly_check",
     "certify",
-    "h_ell",
     "h_ell_check",
     "verify_h_lower_bound",
     "dominance_check",

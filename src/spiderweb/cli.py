@@ -44,11 +44,8 @@ def _parse_real(s, name):
 def settings_to_json(settings: ContinuationSettings) -> dict:
     return {
         "mass_step_init": _fmt_opt(settings.mass_step_init),
-        "step_shrink": _fmt(settings.step_shrink),
-        "step_grow": _fmt(settings.step_grow),
         "newton_tol": _fmt(settings.newton_tol),
         "newton_max_iter": settings.newton_max_iter,
-        "bisect_tol": _fmt_opt(settings.bisect_tol),
     }
 
 
@@ -137,16 +134,15 @@ def parse_document(text: str):
 
 
 def _settings_from_json(raw) -> ContinuationSettings:
+    """Settings of a document; other keys, such as the removed step factors
+    and bisection tolerance that older versions wrote, are ignored."""
     if not isinstance(raw, dict):
         return ContinuationSettings()
-    opt = lambda v: None if v is None else float(v)
+    step = raw.get("mass_step_init")
     return ContinuationSettings(
-        mass_step_init=opt(raw.get("mass_step_init")),
-        step_shrink=float(raw.get("step_shrink", 0.5)),
-        step_grow=float(raw.get("step_grow", 2.0)),
+        mass_step_init=None if step is None else float(step),
         newton_tol=float(raw.get("newton_tol", 1e-12)),
         newton_max_iter=int(raw.get("newton_max_iter", 50)),
-        bisect_tol=opt(raw.get("bisect_tol")),
     )
 
 

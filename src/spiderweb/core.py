@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import intervals
-from .intervals import Interval, pairwise_sum, powi_tree
+from .intervals import Interval, pairwise_sum
 
 __all__ = [
     "SpiderwebParams",
@@ -33,21 +33,14 @@ __all__ = [
     "FLOAT64",
     "INTERVAL",
     "zeta",
-    "phi",
-    "phi_d1",
-    "phi_d2",
-    "force_contribution",
     "residual",
     "jacobian",
-    "jacobian_phi_form",
-    "hessian",
     "hessian_parts",
     "lambda_values",
     "lambda_gaps",
     "probe_ring_lambda",
     "h_ell",
     "h_ell_deriv",
-    "jacobian_row_sums",
     "dominance_row_sums",
     "require_cone",
 ]
@@ -125,7 +118,7 @@ def require_cone(r):
     return r
 
 
-def _validate_radii(radii, kind):
+def _validate_radii(radii):
     """Cone check for either a float vector or a vector of interval boxes."""
     if isinstance(radii, Interval):
         if radii.ndim != 1:
@@ -159,7 +152,6 @@ def _cos_table(ell: int, mult: int):
 class _Float64Kind:
     """Plain numpy float64 evaluation."""
 
-    name = "float64"
     is_interval = False
 
     def lift(self, x):
@@ -172,14 +164,6 @@ class _Float64Kind:
 
     def square(self, x):
         return x * x
-
-    def powi(self, x, p):
-        if p == 0:
-            return np.ones_like(np.asarray(x, dtype=np.float64))
-        return powi_tree(x, p, mul=lambda a, b: a * b, square=self.square)
-
-    def pow_half(self, x, p):
-        return self.powi(self.sqrt(x), p)
 
     def sum(self, x, axis=-1):
         return pairwise_sum(x, axis)
@@ -194,7 +178,6 @@ class _Float64Kind:
 class _IntervalKind:
     """Outward-rounded interval evaluation."""
 
-    name = "interval"
     is_interval = True
 
     def lift(self, x):
@@ -207,12 +190,6 @@ class _IntervalKind:
 
     def square(self, x):
         return intervals.square(self.lift(x))
-
-    def powi(self, x, p):
-        return intervals.powi(self.lift(x), p)
-
-    def pow_half(self, x, p):
-        return intervals.pow_half(self.lift(x), p)
 
     def sum(self, x, axis=-1):
         return self.lift(x).sum(axis)
@@ -243,64 +220,6 @@ def zeta(ell: int, kind=FLOAT64):
     return kind.sum(1.0 / kind.sqrt(1.0 - c), axis=-1)
 
 
-def _guard_phi_argument(x, ell):
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x == 1.0):
-        raise CollisionError("phi argument x = 1 is a collision singularity")
-    if ell % 2 == 0 and np.any(x == -1.0):
-        raise CollisionError("phi argument x = -1 collides for even ell")
-    return x
-
-
-def _spoke_distances_sq(x, ell, kind):
-    """d_k(x)^2 = 1 + x^2 - 2 x cos(2 pi k / ell) along a trailing axis, in
-    the cancellation-free arrangement (x - c)^2 + (1 - c)(1 + c)."""
-    if not isinstance(x, Interval):
-        _guard_phi_argument(x, ell)
-    c = kind.cos_angles(ell)
-    x = kind.lift(x)
-    xe = x[..., None]
-    d2 = kind.square(xe - c) + (1.0 - c) * (1.0 + c)
-    return xe, c, d2
-
-
-def phi(nu, x, ell: int, kind=FLOAT64):
-    """Distance-power sum over one ring's spokes, phi_nu(x) = sum_k d_k(x)^-nu.
-
-    Interval mode supports integer nu; float mode accepts any nu > 0.
-    """
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    if int(ell) != ell or ell < 2:
-        raise ValueError(f"ell must be an integer >= 2, got {ell}")
-    ell = int(ell)
-    _, _, d2 = _spoke_distances_sq(x, ell, kind)
-    if nu == int(nu):
-        nu = int(nu)
-        dpow = kind.powi(d2, nu // 2) if nu % 2 == 0 else kind.pow_half(d2, nu)
-    elif kind.is_interval:
-        raise ValueError("interval mode supports only integer nu")
-    else:
-        dpow = d2 ** (nu / 2.0)
-    return kind.sum(1.0 / dpow, axis=-1)
-
-
-def phi_d1(x, ell: int, kind=FLOAT64):
-    """Termwise first derivative of phi_1."""
-    xe, c, d2 = _spoke_distances_sq(x, ell, kind)
-    s = kind.sqrt(d2)
-    p3 = s * kind.square(s)
-    return -kind.sum((xe - c) / p3, axis=-1)
-
-
-def phi_d2(x, ell: int, kind=FLOAT64):
-    """Termwise second derivative of phi_1."""
-    xe, c, d2 = _spoke_distances_sq(x, ell, kind)
-    s = kind.sqrt(d2)
-    p5 = s * kind.square(kind.square(s))
-    return -kind.sum((d2 - 3.0 * kind.square(xe - c)) / p5, axis=-1)
-
-
 def h_ell(x, ell: int, kind=FLOAT64):
     """Row-dominance kernel h_ell(x); equals (1-x) phi_1'' - 2 phi_1' with the
     zero k = 0 term dropped, hence finite at x = 1 as well."""
@@ -323,8 +242,9 @@ def h_ell_deriv(x, ell: int, kind=FLOAT64):
 
 
 def _spoke_distances_sq_h(x, ell, kind):
-    """Like _spoke_distances_sq but for the k >= 1 sums of h_ell, where x = 1
-    is regular because the k = 0 spoke is excluded."""
+    """d_k(x)^2 = (x - c)^2 + (1 - c)(1 + c), c = cos(2 pi k / ell), along a
+    trailing axis over the spokes k >= 1 of h_ell; x = 1 is regular there
+    because the k = 0 spoke is excluded."""
     if int(ell) != ell or ell < 2:
         raise ValueError(f"ell must be an integer >= 2, got {ell}")
     ell = int(ell)
@@ -498,83 +418,16 @@ def _hessian_raw(radii, masses, m0, ell, kind):
 # public operations
 # ---------------------------------------------------------------------------
 
-def force_contribution(i: int, j: int, params: SpiderwebParams, radii, kind=FLOAT64):
-    """F_ij / m_i: force per unit mass on a body of ring i (1-based) from ring
-    j (1-based; j = 0 is the central mass), along the four-case split."""
-    if not 1 <= i <= params.n:
-        raise ValueError(f"ring index i must be in 1..{params.n}, got {i}")
-    if not 0 <= j <= params.n:
-        raise ValueError(f"source index j must be in 0..{params.n}, got {j}")
-    radii = _validate_radii(radii, kind)
-    r = kind.lift(radii)
-    ri = r[i - 1]
-    ri2 = kind.square(ri)
-    if j == 0:
-        return -(params.m0 / ri2)
-    mj = params.masses[j - 1]
-    if j == i:
-        sqrt8 = kind.sqrt(kind.lift(8.0))
-        return -(mj * zeta(params.ell, kind)) / (sqrt8 * ri2)
-    if j < i:
-        y = r[j - 1] / ri
-        return -(mj / ri2) * (phi(1, y, params.ell, kind) + y * phi_d1(y, params.ell, kind))
-    x = ri / r[j - 1]
-    return ((mj * kind.square(x)) / ri2) * phi_d1(x, params.ell, kind)
-
-
 def residual(params: SpiderwebParams, radii, kind=FLOAT64):
     """The map f whose zeros in the cone are central configurations."""
-    radii = _validate_radii(radii, kind)
+    radii = _validate_radii(radii)
     return _residual_raw(radii, params.masses, params.m0, params.lam, params.ell, kind)
 
 
 def jacobian(params: SpiderwebParams, radii, kind=FLOAT64):
     """Jacobian D_r f in the spoke-summed trigonometric form."""
-    radii = _validate_radii(radii, kind)
+    radii = _validate_radii(radii)
     return _jacobian_raw(radii, params.masses, params.m0, params.lam, params.ell, kind)
-
-
-def jacobian_phi_form(params: SpiderwebParams, radii, kind=FLOAT64):
-    """Jacobian D_r f assembled from phi_1 and its derivatives; equivalent to
-    :func:`jacobian` and kept as an independent cross-check."""
-    radii = _validate_radii(radii, kind)
-    r = kind.lift(radii)
-    n, ell, m = params.n, params.ell, params.masses
-    sqrt2 = kind.sqrt(kind.lift(2.0))
-    z = zeta(ell, kind)
-    rows = []
-    for i in range(n):
-        ri = r[i]
-        ri3 = ri * kind.square(ri)
-        entries = [None] * n
-        diag = params.lam - (m[i] * z) / (sqrt2 * ri3) - (2.0 * params.m0) / ri3
-        for j in range(n):
-            if j == i:
-                continue
-            if j < i:
-                y = r[j] / ri
-                p, d1, d2 = (
-                    phi(1, y, ell, kind),
-                    phi_d1(y, ell, kind),
-                    phi_d2(y, ell, kind),
-                )
-                diag = diag - (m[j] / ri3) * (
-                    2.0 * p + 4.0 * (y * d1) + kind.square(y) * d2
-                )
-                entries[j] = (m[j] / ri3) * (2.0 * d1 + y * d2)
-            else:
-                x = ri / r[j]
-                d1, d2 = phi_d1(x, ell, kind), phi_d2(x, ell, kind)
-                x3 = x * kind.square(x)
-                diag = diag - ((m[j] * x3) / ri3) * d2
-                entries[j] = ((m[j] * x3) / ri3) * (2.0 * d1 + x * d2)
-        entries[i] = diag
-        rows.append(entries)
-    if kind.is_interval:
-        lo = np.array([[e.lo for e in row] for row in rows])
-        hi = np.array([[e.hi for e in row] for row in rows])
-        return Interval._make(lo, hi)
-    return np.array(rows, dtype=np.float64)
 
 
 def hessian_parts(params: SpiderwebParams, radii, kind=FLOAT64):
@@ -582,33 +435,14 @@ def hessian_parts(params: SpiderwebParams, radii, kind=FLOAT64):
     (n, n) and (n, n): H[i, i, i] = diag[i], H[i, i, j] = H[i, j, i] =
     t_mixed[i, j] and H[i, j, j] = t_outer[i, j] for j != i; every other
     entry is zero."""
-    radii = _validate_radii(radii, kind)
+    radii = _validate_radii(radii)
     return _hessian_raw(radii, params.masses, params.m0, params.ell, kind)
-
-
-def hessian(params: SpiderwebParams, radii, kind=FLOAT64):
-    """Second-derivative tensor H[i, l, j] = d^2 f_i / (dr_l dr_j), scattered
-    from :func:`hessian_parts`: at most 3n^2 - 2n of its n^3 entries are
-    nonzero."""
-    diag, t_mixed, t_outer = hessian_parts(params, radii, kind)
-    n = params.n
-    i_ix, l_ix, j_ix = np.ogrid[0:n, 0:n, 0:n]
-    on_diag = (i_ix == l_ix) & (l_ix == j_ix)
-    l_is_i = (l_ix == i_ix) & (j_ix != i_ix)
-    j_is_i = (j_ix == i_ix) & (l_ix != i_ix)
-    l_eq_j = (l_ix == j_ix) & (j_ix != i_ix)
-
-    zero = kind.lift(0.0)
-    out = kind.where(l_eq_j, t_outer[:, None, :], zero)
-    out = kind.where(j_is_i, t_mixed[:, :, None], out)
-    out = kind.where(l_is_i, t_mixed[:, None, :], out)
-    return kind.where(on_diag, diag[:, None, None], out)
 
 
 def lambda_values(params: SpiderwebParams, radii, kind=FLOAT64):
     """Per-ring proportionality values lambda_i = F_i / (m_i r_i); the radii
     form a central configuration for value lam iff all lambda_i equal lam."""
-    radii = _validate_radii(radii, kind)
+    radii = _validate_radii(radii)
     r = kind.lift(radii)
     return _force_per_mass(radii, params.masses, params.m0, params.ell, kind) / r
 
@@ -639,16 +473,12 @@ def probe_ring_lambda(params: SpiderwebParams, radii, s: float) -> float:
     return float(force / s)
 
 
-def jacobian_row_sums(jac, kind=FLOAT64):
-    """-d_i f_i - sum_{j != i} d_j f_i for every row of a Jacobian matrix."""
-    return -kind.sum(jac, axis=1)
-
-
 def dominance_row_sums(params: SpiderwebParams, radii, kind=FLOAT64):
-    """The same row sums written as the manifestly positive decomposition
+    """Jacobian row sums -d_i f_i - sum_{j != i} d_j f_i, written as the
+    manifestly positive decomposition
     -lam + m_i zeta/(sqrt2 r_i^3) + 2 m0/r_i^3 + sum_j m_j x^3 h_ell(x)/r_i^3
     with x = r_i / r_j, evaluated independently of the Jacobian."""
-    radii = _validate_radii(radii, kind)
+    radii = _validate_radii(radii)
     r = kind.lift(radii)
     n = params.n
     m = kind.lift(params.masses)

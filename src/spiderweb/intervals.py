@@ -201,11 +201,6 @@ def _coerce(x):
     return Interval.point(x)
 
 
-def interval(lo, hi=None):
-    """Build an interval (point interval when ``hi`` is omitted)."""
-    return Interval(lo, hi)
-
-
 def sqrt(x):
     if not isinstance(x, Interval):
         x = Interval.point(x)
@@ -224,16 +219,12 @@ def square(x):
     return Interval._make(_down(lo_abs * lo_abs), _up(hi_abs * hi_abs))
 
 
-def _mul(a, b):
-    return a * b
-
-
 def powi(x, p):
     """x**p for integer p >= 0 (p = 0 gives the exact point interval 1)."""
     if p == 0:
         one = np.ones(np.shape(x.lo) if isinstance(x, Interval) else np.shape(x))
         return Interval.point(one)
-    return powi_tree(_coerce(x), p, mul=_mul, square=square)
+    return powi_tree(_coerce(x), p, mul=Interval.__mul__, square=square)
 
 
 def pow_half(x, p):
@@ -261,17 +252,7 @@ def matvec(a: np.ndarray, v: Interval) -> Interval:
     return prod.sum(axis=1)
 
 
-# -- enclosures of pi and of cos(2*pi*k/l) ---------------------------------
-
-def _pi_bounds():
-    with mpmath.workdps(40):
-        f = float(mpmath.pi)
-    return _one_ulp_bracket(f)
-
-
-def _one_ulp_bracket(f):
-    return float(np.nextafter(f, _NEG_INF)), float(np.nextafter(f, _POS_INF))
-
+# -- enclosures of cos(2*pi*k/l) ----------------------------------------
 
 #: cos(2*pi*num/den) is exact when the reduced fraction has one of these
 #: denominators.
@@ -303,7 +284,7 @@ def _cos_two_pi_data(num: int, den: int):
     # rounded double is within one representable step of the true cosine
     with mpmath.workdps(40):
         f = float(mpmath.cos(2 * mpmath.pi * mpmath.mpf(num) / den))
-    lo, hi = _one_ulp_bracket(f)
+    lo, hi = float(_down(f)), float(_up(f))
     return max(lo, -1.0), f, min(hi, 1.0)
 
 
@@ -316,6 +297,3 @@ def cos_two_pi(num: int, den: int) -> Interval:
 def cos_two_pi_float(num: int, den: int) -> float:
     """Correctly rounded double inside the matching interval enclosure."""
     return _cos_two_pi_data(num, den)[1]
-
-
-PI = Interval(*_pi_bounds())

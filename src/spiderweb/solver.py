@@ -38,6 +38,11 @@ __all__ = [
 
 _ALPHA_MIN = 2.0**-10
 _BRACKET_DOUBLINGS = 60
+# bisection stops at this width relative to the outermost radius
+_BISECT_REL_TOL = 1e-13
+# mass-step factors after a failed and after a fast (<= 3 iterations) solve
+_STEP_SHRINK = 0.5
+_STEP_GROW = 2.0
 # stagnation escape: when the Newton step is below this relative size the
 # radii are converged to rounding level and the residual is pinned at its
 # float evaluation floor, so accept within a small grace factor of the tol
@@ -69,32 +74,25 @@ class BracketError(SolverError):
 
 @dataclass
 class ContinuationSettings:
-    """Tuning knobs for Newton iteration, bisection and mass continuation.
+    """Tuning knobs for Newton iteration and mass continuation.
 
     ``mass_step_init=None`` means the full target mass, so continuation
     first tries to add the whole ring in one Newton solve and halves the step
-    only when that fails; ``bisect_tol=None`` means 1e-13 times the outermost
-    radius.
+    only when that fails.
     """
 
     mass_step_init: float | None = None
-    step_shrink: float = 0.5
-    step_grow: float = 2.0
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
-    bisect_tol: float | None = None
 
     def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
-        if not 0 < self.step_shrink < 1 < self.step_grow:
-            raise ValueError("need 0 < step_shrink < 1 < step_grow")
+        if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol}")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be at least 1")
-        if self.mass_step_init is not None and self.mass_step_init <= 0:
-            raise ValueError("mass_step_init must be positive")
-        if self.bisect_tol is not None and self.bisect_tol <= 0:
-            raise ValueError("bisect_tol must be positive")
+        step = self.mass_step_init
+        if step is not None and not (np.isfinite(step) and step > 0):
+            raise ValueError(f"mass_step_init must be finite and positive, got {step}")
 
 
 def _in_cone(r) -> bool:
@@ -103,24 +101,6 @@ def _in_cone(r) -> bool:
 
 def _norm_inf(v) -> float:
     return float(np.max(np.abs(v)))
-
-
-def _extend_params(base: SpiderwebParams, mass: float) -> SpiderwebParams:
-    """Params with one more ring of the given mass appended.
-
-    A zero mass describes a restricted (massless probe) configuration, which
-    the validated constructor deliberately rejects, so build it directly.
-    """
-    masses = np.append(base.masses, float(mass))
-    if mass > 0:
-        return SpiderwebParams(base.n + 1, base.ell, base.m0, masses, base.lam)
-    p = object.__new__(SpiderwebParams)
-    p.n = base.n + 1
-    p.ell = base.ell
-    p.m0 = base.m0
-    p.masses = masses
-    p.lam = base.lam
-    return p
 
 
 def _newton_raw(r0, masses, m0, lam, ell, settings: ContinuationSettings):
@@ -190,9 +170,7 @@ def newton_solve(
     return Configuration(params, r, norm)
 
 
-def solve_single_ring(
-    params: SpiderwebParams, settings: ContinuationSettings | None = None
-) -> Configuration:
+def solve_single_ring(params: SpiderwebParams) -> Configuration:
     """Closed-form solution of the one-ring system."""
     if params.n != 1:
         raise ValueError(f"solve_single_ring needs n = 1, got n = {params.n}")
@@ -203,14 +181,11 @@ def solve_single_ring(
     return Configuration(params, radii, norm)
 
 
-def insert_zero_mass_ring(
-    config: Configuration, gap: int, settings: ContinuationSettings | None = None
-) -> np.ndarray:
+def insert_zero_mass_ring(config: Configuration, gap: int) -> np.ndarray:
     """Radius vector extended by the unique massless-ring equilibrium in the
     chosen gap: gap i in 1..n-1 is (r_i, r_{i+1}), gap n is (r_n, infinity),
     and gap 0 is (0, r_1), which has a root only when a central mass pulls the
     probe lambda to -infinity at the origin."""
-    settings = settings or ContinuationSettings()
     params = config.params
     r = require_cone(config.radii)
     n = params.n
@@ -242,7 +217,7 @@ def insert_zero_mass_ring(
         hi = _push_to_sign(g, hi_edge, lo_edge, want_negative=False)
         if not lo < hi:
             raise BracketError(f"no sign change found inside gap {gap}")
-    tol = settings.bisect_tol if settings.bisect_tol is not None else 1e-13 * r[-1]
+    tol = _BISECT_REL_TOL * r[-1]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -282,7 +257,7 @@ def continue_mass(
     target_mass: float,
     settings: ContinuationSettings | None = None,
 ) -> Configuration:
-    """Continue the appended ring's mass from zero to target_mass.
+    """Continue the appended ring's mass from zero to target_mass > 0.
 
     ``params`` describes the n base rings; ``radii`` has n+1 entries and must
     solve the system at zero appended mass.  Constant predictor, damped
@@ -294,9 +269,12 @@ def continue_mass(
         raise OrderingViolated(
             f"expected {params.n + 1} radii (base rings plus one), got {r.shape}"
         )
+    # the validated constructor rejects a target mass that is not finite and > 0
     target_mass = float(target_mass)
-    if target_mass < 0 or not np.isfinite(target_mass):
-        raise ValueError(f"target mass must be finite and >= 0, got {target_mass}")
+    extended = SpiderwebParams(
+        params.n + 1, params.ell, params.m0,
+        np.append(params.masses, target_mass), params.lam,
+    )
 
     def masses_at(m):
         return np.append(params.masses, m)
@@ -308,13 +286,10 @@ def continue_mass(
         raise SolverError(
             f"input radii do not solve the zero-mass system, |f| = {norm0:.3e}"
         )
-    if target_mass == 0.0:
-        return Configuration(_extend_params(params, 0.0), r, norm0)
 
     step_init = settings.mass_step_init or target_mass
     step = step_init
     m_cur = 0.0
-    norm = norm0
     while m_cur < target_mass:
         m_try = min(target_mass, m_cur + step)
         try:
@@ -322,7 +297,7 @@ def continue_mass(
                 r, masses_at(m_try), params.m0, params.lam, params.ell, settings
             )
         except (NewtonDiverged, SingularJacobian):
-            step *= settings.step_shrink
+            step *= _STEP_SHRINK
             if step < step_init * 1e-12:
                 raise ContinuationStalled(
                     f"mass step underflow at mass {m_cur:.6g} of {target_mass:.6g}",
@@ -331,8 +306,8 @@ def continue_mass(
             continue
         r, m_cur = r_new, m_try
         if iters <= 3:
-            step *= settings.step_grow
-    return Configuration(_extend_params(params, target_mass), r, norm)
+            step *= _STEP_GROW
+    return Configuration(extended, r, norm)
 
 
 def build_configuration(
@@ -342,10 +317,10 @@ def build_configuration(
     ring, then repeated outermost-gap insertion plus mass continuation."""
     settings = settings or ContinuationSettings()
     base = SpiderwebParams(1, params.ell, params.m0, params.masses[:1], params.lam)
-    config = solve_single_ring(base, settings)
+    config = solve_single_ring(base)
     for k in range(2, params.n + 1):
         try:
-            extended = insert_zero_mass_ring(config, gap=k - 1, settings=settings)
+            extended = insert_zero_mass_ring(config, gap=k - 1)
             config = continue_mass(
                 config.params, extended, params.masses[k - 1], settings
             )

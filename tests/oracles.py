@@ -1,0 +1,165 @@
+"""Test-only cross-checks of the spoke-sum formulas in ``spiderweb.core``:
+the phi form of forces and Jacobian, built from phi_nu(x) = sum_k d_k(x)^-nu,
+the dense Hessian tensor and the Jacobian row sums, in both scalar kinds."""
+
+import numpy as np
+
+from spiderweb.core import (
+    FLOAT64,
+    CollisionError,
+    SpiderwebParams,
+    _validate_radii,
+    hessian_parts,
+    zeta,
+)
+from spiderweb.intervals import Interval, powi_tree
+
+
+def _guard_phi_argument(x, ell):
+    x = np.asarray(x, dtype=np.float64)
+    if np.any(x == 1.0):
+        raise CollisionError("phi argument x = 1 is a collision singularity")
+    if ell % 2 == 0 and np.any(x == -1.0):
+        raise CollisionError("phi argument x = -1 collides for even ell")
+    return x
+
+
+def _spoke_distances_sq(x, ell, kind):
+    """d_k(x)^2 = 1 + x^2 - 2 x cos(2 pi k / ell) along a trailing axis, in
+    the cancellation-free arrangement (x - c)^2 + (1 - c)(1 + c)."""
+    if not isinstance(x, Interval):
+        _guard_phi_argument(x, ell)
+    c = kind.cos_angles(ell)
+    x = kind.lift(x)
+    xe = x[..., None]
+    d2 = kind.square(xe - c) + (1.0 - c) * (1.0 + c)
+    return xe, c, d2
+
+
+def phi(nu, x, ell: int, kind=FLOAT64):
+    """Distance-power sum over one ring's spokes, phi_nu(x) = sum_k d_k(x)^-nu.
+
+    Interval mode supports integer nu; float mode accepts any nu > 0.
+    """
+    if nu <= 0:
+        raise ValueError(f"nu must be positive, got {nu}")
+    if int(ell) != ell or ell < 2:
+        raise ValueError(f"ell must be an integer >= 2, got {ell}")
+    ell = int(ell)
+    _, _, d2 = _spoke_distances_sq(x, ell, kind)
+    if nu == int(nu):
+        nu = int(nu)
+        base, p = (d2, nu // 2) if nu % 2 == 0 else (kind.sqrt(d2), nu)
+        dpow = powi_tree(base, p, mul=lambda a, b: a * b, square=kind.square)
+    elif kind.is_interval:
+        raise ValueError("interval mode supports only integer nu")
+    else:
+        dpow = d2 ** (nu / 2.0)
+    return kind.sum(1.0 / dpow, axis=-1)
+
+
+def phi_d1(x, ell: int, kind=FLOAT64):
+    """Termwise first derivative of phi_1."""
+    xe, c, d2 = _spoke_distances_sq(x, ell, kind)
+    s = kind.sqrt(d2)
+    p3 = s * kind.square(s)
+    return -kind.sum((xe - c) / p3, axis=-1)
+
+
+def phi_d2(x, ell: int, kind=FLOAT64):
+    """Termwise second derivative of phi_1."""
+    xe, c, d2 = _spoke_distances_sq(x, ell, kind)
+    s = kind.sqrt(d2)
+    p5 = s * kind.square(kind.square(s))
+    return -kind.sum((d2 - 3.0 * kind.square(xe - c)) / p5, axis=-1)
+
+
+def force_contribution(i: int, j: int, params: SpiderwebParams, radii, kind=FLOAT64):
+    """F_ij / m_i: force per unit mass on a body of ring i (1-based) from ring
+    j (1-based; j = 0 is the central mass), along the four-case split."""
+    if not 1 <= i <= params.n:
+        raise ValueError(f"ring index i must be in 1..{params.n}, got {i}")
+    if not 0 <= j <= params.n:
+        raise ValueError(f"source index j must be in 0..{params.n}, got {j}")
+    radii = _validate_radii(radii)
+    r = kind.lift(radii)
+    ri = r[i - 1]
+    ri2 = kind.square(ri)
+    if j == 0:
+        return -(params.m0 / ri2)
+    mj = params.masses[j - 1]
+    if j == i:
+        sqrt8 = kind.sqrt(kind.lift(8.0))
+        return -(mj * zeta(params.ell, kind)) / (sqrt8 * ri2)
+    if j < i:
+        y = r[j - 1] / ri
+        return -(mj / ri2) * (phi(1, y, params.ell, kind) + y * phi_d1(y, params.ell, kind))
+    x = ri / r[j - 1]
+    return ((mj * kind.square(x)) / ri2) * phi_d1(x, params.ell, kind)
+
+
+def jacobian_phi_form(params: SpiderwebParams, radii, kind=FLOAT64):
+    """Jacobian D_r f assembled from phi_1 and its derivatives; equivalent to
+    ``core.jacobian``."""
+    radii = _validate_radii(radii)
+    r = kind.lift(radii)
+    n, ell, m = params.n, params.ell, params.masses
+    sqrt2 = kind.sqrt(kind.lift(2.0))
+    z = zeta(ell, kind)
+    rows = []
+    for i in range(n):
+        ri = r[i]
+        ri3 = ri * kind.square(ri)
+        entries = [None] * n
+        diag = params.lam - (m[i] * z) / (sqrt2 * ri3) - (2.0 * params.m0) / ri3
+        for j in range(n):
+            if j == i:
+                continue
+            if j < i:
+                y = r[j] / ri
+                p, d1, d2 = (
+                    phi(1, y, ell, kind),
+                    phi_d1(y, ell, kind),
+                    phi_d2(y, ell, kind),
+                )
+                diag = diag - (m[j] / ri3) * (
+                    2.0 * p + 4.0 * (y * d1) + kind.square(y) * d2
+                )
+                entries[j] = (m[j] / ri3) * (2.0 * d1 + y * d2)
+            else:
+                x = ri / r[j]
+                d1, d2 = phi_d1(x, ell, kind), phi_d2(x, ell, kind)
+                x3 = x * kind.square(x)
+                diag = diag - ((m[j] * x3) / ri3) * d2
+                entries[j] = ((m[j] * x3) / ri3) * (2.0 * d1 + x * d2)
+        entries[i] = diag
+        rows.append(entries)
+    if kind.is_interval:
+        lo = np.array([[e.lo for e in row] for row in rows])
+        hi = np.array([[e.hi for e in row] for row in rows])
+        return Interval._make(lo, hi)
+    return np.array(rows, dtype=np.float64)
+
+
+def hessian(params: SpiderwebParams, radii, kind=FLOAT64):
+    """Second-derivative tensor H[i, l, j] = d^2 f_i / (dr_l dr_j), scattered
+    from ``core.hessian_parts``: at most 3n^2 - 2n of its n^3 entries are
+    nonzero."""
+    diag, t_mixed, t_outer = hessian_parts(params, radii, kind)
+    n = params.n
+    i_ix, l_ix, j_ix = np.ogrid[0:n, 0:n, 0:n]
+    on_diag = (i_ix == l_ix) & (l_ix == j_ix)
+    l_is_i = (l_ix == i_ix) & (j_ix != i_ix)
+    j_is_i = (j_ix == i_ix) & (l_ix != i_ix)
+    l_eq_j = (l_ix == j_ix) & (j_ix != i_ix)
+
+    zero = kind.lift(0.0)
+    out = kind.where(l_eq_j, t_outer[:, None, :], zero)
+    out = kind.where(j_is_i, t_mixed[:, :, None], out)
+    out = kind.where(l_is_i, t_mixed[:, None, :], out)
+    return kind.where(on_diag, diag[:, None, None], out)
+
+
+def jacobian_row_sums(jac, kind=FLOAT64):
+    """-d_i f_i - sum_{j != i} d_j f_i for every row of a Jacobian matrix."""
+    return -kind.sum(jac, axis=1)

@@ -10,6 +10,8 @@ from spiderweb import core, solver
 from spiderweb.core import Configuration, SpiderwebParams
 from spiderweb.intervals import Interval, pairwise_sum
 
+import oracles
+
 
 def solved(n, ell, m0=0.0, masses=None, lam=-1.0, **kw):
     masses = np.ones(n) if masses is None else np.asarray(masses, dtype=float)
@@ -94,7 +96,7 @@ def test_Z2_single_ring_against_dense_sampling():
     samples = np.linspace(r0 - rho, r0 + rho, 10_000)
     worst = 0.0
     for s in samples:
-        h = core.hessian(p, np.array([s]))
+        h = oracles.hessian(p, np.array([s]))
         worst = max(worst, abs(a[0, 0] * h[0, 0, 0]))
     assert z2 >= worst
     assert z2 <= worst * (1 + 1e-3)  # and not absurdly loose on a 1-d problem
@@ -110,7 +112,7 @@ def test_Z2_weakly_decreasing_in_rho_star():
 
 def _dense_Z2_oracle(a, center, params, rho_star):
     """The row fold over the dense (n, n, n) interval Hessian, O(n^4)."""
-    hess = core.hessian(params, cz._ball_box(np.asarray(center), rho_star), core.INTERVAL)
+    hess = oracles.hessian(params, cz._ball_box(np.asarray(center), rho_star), core.INTERVAL)
     totals = []
     for i in range(a.shape[0]):
         row = (Interval.point(a[i])[:, None, None] * hess).sum(axis=0)
@@ -155,13 +157,10 @@ def test_Z2_blocked_fold_matches_one_pass(monkeypatch):
         assert blocked == pytest.approx(_dense_Z2_oracle(a, radii, params, 1e-6), rel=1e-12)
 
 
-def test_certify_never_builds_the_dense_hessian(monkeypatch):
+def test_certify_never_builds_the_dense_hessian():
+    # the dense n^3 scatter lives only in the test oracles
+    assert not hasattr(core, "hessian")
     c = solved(4, 8, m0=0.5, masses=[1.0, 0.5, 2.0, 1.5])
-
-    def dense(*args, **kwargs):
-        raise AssertionError("certify built the dense n^3 Hessian")
-
-    monkeypatch.setattr(core, "hessian", dense)
     cert = cz.certify(c)
     assert cert.p_at_rho0 < 0.0
 

@@ -50,6 +50,10 @@ def test_solve_validation_of_flags(tmp_path):
                 "--out", tmp_path / "x.json"]) == EXIT_VALIDATION
     assert run(["solve", "--n", 2, "--ell", 4, "--masses", "equal:1",
                 "--lambda", 1.0, "--out", tmp_path / "x.json"]) == EXIT_VALIDATION
+    for tol in ("inf", "nan"):
+        assert run(["solve", "--n", 2, "--ell", 4, "--masses", "equal:1",
+                    "--tol", tol, "--out", tmp_path / "x.json"]) == EXIT_VALIDATION
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_certify_appends_certificate(tmp_path):
@@ -229,3 +233,33 @@ def test_certify_rejects_bad_rho_star(tmp_path, capsys, rho_star):
     capsys.readouterr()
     assert run(["certify", "--input", out, "--rho-star", rho_star]) == EXIT_VALIDATION
     assert "finite and positive" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_document_with_nan_newton_tol_is_rejected(tmp_path):
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--n", 2, "--ell", 4, "--masses", "equal:1",
+                "--out", out]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    doc["provenance"]["settings"]["newton_tol"] = "nan"
+    text = emit_document(doc)
+    with pytest.raises(ValueError, match="newton_tol"):
+        parse_document(text)
+    out.write_text(text)
+    assert run(["certify", "--input", out]) == EXIT_VALIDATION
+
+
+def test_document_with_removed_settings_keys_still_works(tmp_path):
+    # documents written before step_shrink, step_grow and bisect_tol left
+    # the settings carry those keys; they are read past and not re-emitted
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--n", 3, "--ell", 6, "--masses", "equal:1",
+                "--out", out]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    old_keys = {"step_shrink": "0.25", "step_grow": "3", "bisect_tol": "1e-10"}
+    doc["provenance"]["settings"].update(old_keys)
+    out.write_text(emit_document(doc))
+    assert run(["certify", "--input", out]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["certificate"] is not None
+    assert set(doc["provenance"]["settings"]) == {"mass_step_init", "newton_tol",
+                                                  "newton_max_iter"}

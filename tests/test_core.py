@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spiderweb import core
+import spiderweb
+from spiderweb import analysis, certify, core, solver
 from spiderweb.core import (
     CollisionError,
     FLOAT64,
@@ -17,6 +18,8 @@ from spiderweb.core import (
     SpiderwebParams,
 )
 from spiderweb.intervals import Interval
+
+import oracles
 
 RNG_SEED = 20240817
 
@@ -78,26 +81,26 @@ def test_zeta_rejects_small_ell():
 
 def test_phi_at_zero_is_ell():
     for ell in (2, 3, 7, 11):
-        assert float(core.phi(1, 0.0, ell)) == pytest.approx(ell, rel=1e-15)
+        assert float(oracles.phi(1, 0.0, ell)) == pytest.approx(ell, rel=1e-15)
 
 
 def test_phi_d1_at_zero_vanishes():
     for ell in (2, 3, 7, 11):
-        assert abs(float(core.phi_d1(0.0, ell))) < 1e-14
-        iv = core.phi_d1(Interval.point(0.0), ell, INTERVAL)
+        assert abs(float(oracles.phi_d1(0.0, ell))) < 1e-14
+        iv = oracles.phi_d1(Interval.point(0.0), ell, INTERVAL)
         assert float(iv.lo) <= 0.0 <= float(iv.hi)
 
 
 def test_phi_half_ell2_hand_value():
     # d_0 = 1/2, d_1 = 3/2
-    assert float(core.phi(1, 0.5, 2)) == pytest.approx(8.0 / 3.0, rel=1e-15)
+    assert float(oracles.phi(1, 0.5, 2)) == pytest.approx(8.0 / 3.0, rel=1e-15)
 
 
 def test_phi_collision_rejected():
     with pytest.raises(CollisionError):
-        core.phi(1, 1.0, 5)
+        oracles.phi(1, 1.0, 5)
     with pytest.raises(CollisionError):
-        core.phi_d1(1.0, 4)
+        oracles.phi_d1(1.0, 4)
 
 
 def test_phi_general_nu_against_oracle():
@@ -111,31 +114,31 @@ def test_phi_general_nu_against_oracle():
                     for k in range(ell)
                 )
             )
-        assert float(core.phi(nu, x, ell)) == pytest.approx(expect, rel=1e-13)
+        assert float(oracles.phi(nu, x, ell)) == pytest.approx(expect, rel=1e-13)
 
 
 def test_phi_interval_rejects_fractional_nu():
     with pytest.raises(ValueError):
-        core.phi(1.5, Interval.point(0.3), 5, INTERVAL)
+        oracles.phi(1.5, Interval.point(0.3), 5, INTERVAL)
 
 
 def test_phi_derivatives_positive_on_unit_interval():
     # all derivatives positive on (0, 1): check phi, phi', phi''
     xs = np.linspace(0.05, 0.95, 19)
     for ell in (2, 5, 9):
-        assert np.all(core.phi(1, xs, ell) > 0)
-        assert np.all(core.phi_d1(xs, ell) > 0)
-        assert np.all(core.phi_d2(xs, ell) > 0)
+        assert np.all(oracles.phi(1, xs, ell) > 0)
+        assert np.all(oracles.phi_d1(xs, ell) > 0)
+        assert np.all(oracles.phi_d2(xs, ell) > 0)
 
 
 def test_phi_d1_d2_match_finite_differences():
     h = 1e-6
     for ell in (3, 8):
         for x in (0.2, 0.55, 0.9, 1.3, 2.4):
-            fd1 = (core.phi(1, x + h, ell) - core.phi(1, x - h, ell)) / (2 * h)
-            fd2 = (core.phi_d1(x + h, ell) - core.phi_d1(x - h, ell)) / (2 * h)
-            assert float(core.phi_d1(x, ell)) == pytest.approx(float(fd1), rel=1e-8)
-            assert float(core.phi_d2(x, ell)) == pytest.approx(float(fd2), rel=1e-8)
+            fd1 = (oracles.phi(1, x + h, ell) - oracles.phi(1, x - h, ell)) / (2 * h)
+            fd2 = (oracles.phi_d1(x + h, ell) - oracles.phi_d1(x - h, ell)) / (2 * h)
+            assert float(oracles.phi_d1(x, ell)) == pytest.approx(float(fd1), rel=1e-8)
+            assert float(oracles.phi_d2(x, ell)) == pytest.approx(float(fd2), rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +147,14 @@ def test_phi_d1_d2_match_finite_differences():
 
 def test_force_center_term_vanishes_without_central_mass():
     p = SpiderwebParams(2, 4, 0.0, np.array([1.0, 2.0]), -1.0)
-    assert float(core.force_contribution(1, 0, p, np.array([1.0, 2.0]))) == 0.0
+    assert float(oracles.force_contribution(1, 0, p, np.array([1.0, 2.0]))) == 0.0
 
 
 def test_force_hand_value_ell2():
     p = SpiderwebParams(2, 2, 0.0, np.array([1.0, 1.0]), -1.0)
     r = np.array([1.0, 2.0])
     # x = 1/2, F_12/m_1 = x^2 phi_1'(1/2) = (1/4)(32/9) = 8/9
-    got = float(core.force_contribution(1, 2, p, r))
+    got = float(oracles.force_contribution(1, 2, p, r))
     assert got == pytest.approx(8.0 / 9.0, rel=1e-14)
     # independent oracle: plain two-term spoke sum
     oracle = -sum(
@@ -168,7 +171,7 @@ def test_force_sign_dichotomy():
         n = params.n
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                f = float(core.force_contribution(i, j, params, radii))
+                f = float(oracles.force_contribution(i, j, params, radii))
                 if i < j:
                     assert f > 0
                 else:
@@ -179,11 +182,11 @@ def test_force_index_validation():
     p = SpiderwebParams(2, 3, 0.0, np.array([1.0, 1.0]), -1.0)
     r = np.array([1.0, 2.0])
     with pytest.raises(ValueError):
-        core.force_contribution(0, 1, p, r)
+        oracles.force_contribution(0, 1, p, r)
     with pytest.raises(ValueError):
-        core.force_contribution(1, 3, p, r)
+        oracles.force_contribution(1, 3, p, r)
     with pytest.raises(OrderingViolated):
-        core.force_contribution(1, 1, p, np.array([2.0, 1.0]))
+        oracles.force_contribution(1, 1, p, np.array([2.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +207,7 @@ def test_residual_matches_force_contribution_assembly():
         f = core.residual(params, radii)
         for i in range(1, params.n + 1):
             total = sum(
-                float(core.force_contribution(i, j, params, radii))
+                float(oracles.force_contribution(i, j, params, radii))
                 for j in range(0, params.n + 1)
             )
             expect = params.lam * radii[i - 1] - total
@@ -262,7 +265,7 @@ def test_jacobian_forms_agree():
     for _ in range(15):
         params, radii = random_instance(rng)
         a = core.jacobian(params, radii)
-        b = core.jacobian_phi_form(params, radii)
+        b = oracles.jacobian_phi_form(params, radii)
         assert np.allclose(a, b, rtol=1e-12, atol=1e-13)
 
 
@@ -306,7 +309,7 @@ def test_hessian_sparsity_and_symmetry():
     for _ in range(10):
         params, radii = random_instance(rng, n_max=5)
         n = params.n
-        hess = core.hessian(params, radii)
+        hess = oracles.hessian(params, radii)
         assert hess.shape == (n, n, n)
         for i in range(n):
             assert np.allclose(hess[i], hess[i].T, rtol=1e-12, atol=1e-14)
@@ -319,7 +322,7 @@ def test_hessian_sparsity_and_symmetry():
 def test_hessian_matches_finite_differences():
     p = SpiderwebParams(2, 3, 0.0, np.ones(2), -1.0)
     r = np.array([1.0, 2.0])
-    hess = core.hessian(p, r)
+    hess = oracles.hessian(p, r)
     h = 1e-5
     rp, rm = r.copy(), r.copy()
     rp[0] += h
@@ -334,7 +337,7 @@ def test_hessian_all_entries_match_jacobian_differences():
     for _ in range(5):
         params, radii = random_instance(rng, n_max=4)
         n = params.n
-        hess = core.hessian(params, radii)
+        hess = oracles.hessian(params, radii)
         for l in range(n):
             rp, rm = radii.copy(), radii.copy()
             rp[l] += h
@@ -366,7 +369,7 @@ def test_lambda_gaps_are_differences():
 
 def _lambda_pair(params, radii, i, k):
     """lambda_ik = F_ik / (m_i r_i) for 1-based ring indices."""
-    f = float(core.force_contribution(i, k, params, radii))
+    f = float(oracles.force_contribution(i, k, params, radii))
     return f / (params.masses[i - 1] * radii[i - 1])
 
 
@@ -445,7 +448,7 @@ def test_row_identity_between_jacobian_and_h_decomposition():
     rng = np.random.default_rng(RNG_SEED + 9)
     for _ in range(20):
         params, radii = random_instance(rng)
-        lhs = core.jacobian_row_sums(core.jacobian(params, radii))
+        lhs = oracles.jacobian_row_sums(core.jacobian(params, radii))
         rhs = core.dominance_row_sums(params, radii)
         assert np.allclose(lhs, rhs, rtol=1e-10)
 
@@ -549,7 +552,7 @@ def test_float_results_inside_interval_enclosures():
         box = Interval.point(radii)
         _assert_inside(core.residual(params, radii), core.residual(params, box, INTERVAL))
         _assert_inside(core.jacobian(params, radii), core.jacobian(params, box, INTERVAL))
-        _assert_inside(core.hessian(params, radii), core.hessian(params, box, INTERVAL))
+        _assert_inside(oracles.hessian(params, radii), oracles.hessian(params, box, INTERVAL))
         _assert_inside(
             core.lambda_values(params, radii), core.lambda_values(params, box, INTERVAL)
         )
@@ -560,17 +563,17 @@ def test_float_results_inside_interval_enclosures():
     for ell in (2, 7, 31):
         _assert_inside(core.zeta(ell), core.zeta(ell, INTERVAL))
         xs = np.linspace(0.05, 0.9, 7)
-        _assert_inside(core.phi(1, xs, ell), core.phi(1, Interval.point(xs), ell, INTERVAL))
-        _assert_inside(core.phi_d1(xs, ell), core.phi_d1(Interval.point(xs), ell, INTERVAL))
-        _assert_inside(core.phi_d2(xs, ell), core.phi_d2(Interval.point(xs), ell, INTERVAL))
+        _assert_inside(oracles.phi(1, xs, ell), oracles.phi(1, Interval.point(xs), ell, INTERVAL))
+        _assert_inside(oracles.phi_d1(xs, ell), oracles.phi_d1(Interval.point(xs), ell, INTERVAL))
+        _assert_inside(oracles.phi_d2(xs, ell), oracles.phi_d2(Interval.point(xs), ell, INTERVAL))
         _assert_inside(core.h_ell(xs, ell), core.h_ell(Interval.point(xs), ell, INTERVAL))
 
 
 @given(st.integers(min_value=2, max_value=64), st.floats(min_value=0.01, max_value=0.99))
 @settings(max_examples=60, deadline=None)
 def test_phi_interval_soundness_property(ell, x):
-    f = float(core.phi(1, x, ell))
-    iv = core.phi(1, Interval.point(x), ell, INTERVAL)
+    f = float(oracles.phi(1, x, ell))
+    iv = oracles.phi(1, Interval.point(x), ell, INTERVAL)
     assert float(iv.lo) <= f <= float(iv.hi)
 
 
@@ -591,3 +594,8 @@ def test_params_validation():
         SpiderwebParams(1, 2, 0.0, np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
         SpiderwebParams(1, 2, 0.0, np.array([1.0, 2.0]), -1.0)
+
+
+def test_every_export_resolves():
+    for module in (spiderweb, core, solver, certify, analysis):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -60,14 +60,13 @@ def test_single_ring_needs_n1():
 
 
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        ContinuationSettings(newton_tol=0.0)
-    with pytest.raises(ValueError):
-        ContinuationSettings(step_shrink=1.2)
-    with pytest.raises(ValueError):
-        ContinuationSettings(step_grow=0.9)
-    with pytest.raises(ValueError):
-        ContinuationSettings(mass_step_init=-1.0)
+    # nan would pass every comparison; an infinite mass step never shrinks
+    # below its underflow floor
+    for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="newton_tol must be finite and positive"):
+            ContinuationSettings(newton_tol=bad)
+        with pytest.raises(ValueError, match="mass_step_init must be finite and positive"):
+            ContinuationSettings(mass_step_init=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +179,6 @@ def test_insertion_rejects_non_central_input():
 # continuation
 # ---------------------------------------------------------------------------
 
-def test_continue_mass_zero_target_is_identity():
-    p = params1()
-    c = solve_single_ring(p)
-    ext = insert_zero_mass_ring(c, gap=1)
-    out = continue_mass(p, ext, 0.0)
-    assert np.array_equal(out.radii, ext)
-    assert out.params.masses[-1] == 0.0
-    assert out.params.n == 2
-
-
 def test_continue_mass_matches_direct_newton():
     p = params1(ell=2)
     c = solve_single_ring(p)
@@ -208,6 +197,10 @@ def test_continue_mass_validates_input():
     with pytest.raises(SolverError):
         # radii that do not solve the zero-mass system
         continue_mass(p, np.array([1.0, 2.0]), 1.0)
+    ext = insert_zero_mass_ring(solve_single_ring(p), gap=1)
+    for target in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            continue_mass(p, ext, target)
 
 
 def test_continuation_stalls_with_unreachable_tolerance():
