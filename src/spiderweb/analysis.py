@@ -122,12 +122,12 @@ class ScanRow:
 
 
 def _scan_one(args) -> ScanRow:
-    n, ell, mass_spec, m0, lam, settings, convexity_tol = args
+    n, ell, mass_spec, m0, lam, settings = args
     try:
         params = SpiderwebParams(n, ell, m0, resolve_masses(mass_spec, n), lam)
         config = solver.build_configuration(params, settings)
         cert = _certify(config)
-        prof = spacing_profile(config, convexity_tol)
+        prof = spacing_profile(config)
         return ScanRow(
             n, ell, lam, m0, mass_spec,
             config.radii, config.residual_norm, cert, prof, "ok",
@@ -148,7 +148,6 @@ def scan(
     m0: float = 0.0,
     lam: float = -1.0,
     jobs: int = 1,
-    convexity_tol: float = 1e-9,
 ) -> list[ScanRow]:
     """Build, certify and profile every (n, ell) pair with n <= n_max.
 
@@ -156,7 +155,7 @@ def scan(
     failures are recorded in the row status.  jobs > 1 distributes rows over
     worker processes."""
     tasks = [
-        (n, int(ell), mass_spec, m0, lam, settings, convexity_tol)
+        (n, int(ell), mass_spec, m0, lam, settings)
         for n in range(1, n_max + 1)
         for ell in ell_list
     ]

@@ -57,6 +57,9 @@ BALL_LEAVES_CONE = "BALL_LEAVES_CONE"
 SINGULAR_JACOBIAN = "SINGULAR_JACOBIAN"
 NON_FINITE_BOUND = "NON_FINITE_BOUND"
 
+# rho* ladder of certify: rho_base halved, then doubled, this many times each
+_RHO_RETRIES = 4
+
 
 class CertificationFailed(RuntimeError):
     def __init__(self, reason: str, message: str, **data):
@@ -107,7 +110,7 @@ def bound_Y0(a: np.ndarray, center, params: SpiderwebParams) -> float:
     center = require_cone(center)
     f = core.residual(params, Interval.point(center), INTERVAL)
     _require_finite("Y0", "residual enclosure", f.lo, f.hi)
-    y0 = intervals.vector_sup_norm(intervals.matvec(np.asarray(a, dtype=np.float64), f))
+    y0 = intervals.vector_sup_norm(intervals.matmul(a, f))
     _require_finite("Y0", "bound", y0)
     return y0
 
@@ -115,24 +118,16 @@ def bound_Y0(a: np.ndarray, center, params: SpiderwebParams) -> float:
 def bound_Z0(a: np.ndarray, center, params: SpiderwebParams) -> float:
     """Rigorous upper bound of ||Id - A Df(center)||_inf."""
     center = require_cone(center)
-    a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
     jac = core.jacobian(params, Interval.point(center), INTERVAL)
     _require_finite("Z0", "Jacobian enclosure", jac.lo, jac.hi)
-    prod = (Interval.point(a)[:, :, None] * jac[None, :, :]).sum(axis=1)
-    z0 = intervals.matrix_sup_norm(Interval.point(np.eye(n)) - prod)
+    eye = Interval.point(np.eye(params.n))
+    z0 = intervals.matrix_sup_norm(eye - intervals.matmul(a, jac))
     _require_finite("Z0", "bound", z0)
     return z0
 
 
 def _ball_box(center, rho_star):
-    lo = np.nextafter(center - rho_star, -np.inf)
-    hi = np.nextafter(center + rho_star, np.inf)
-    if lo[0] <= 0.0 or np.any(hi[:-1] >= lo[1:]):
-        raise BallLeavesCone(
-            f"radius {rho_star:.3e} ball around the center can break the ordering"
-        )
-    return Interval(lo, hi)
+    return Interval(intervals.down(center - rho_star), intervals.up(center + rho_star))
 
 
 def _require_rho_star(rho_star: float, name: str = "rho_star"):
@@ -157,6 +152,10 @@ def bound_Z2(a: np.ndarray, center, params: SpiderwebParams, rho_star: float) ->
     box = _ball_box(center, rho_star)
     try:
         diag, t_mixed, t_outer = core.hessian_parts(params, box, INTERVAL)
+    except core.OrderingViolated as exc:
+        raise BallLeavesCone(
+            f"radius {rho_star:.3e} ball around the center can break the ordering: {exc}"
+        ) from exc
     except (intervals.NegativeSqrt, intervals.DivisionByZeroInterval) as exc:
         raise BallLeavesCone(
             f"interval evaluation on the rho* ball hit a singularity: {exc}"
@@ -167,19 +166,17 @@ def bound_Z2(a: np.ndarray, center, params: SpiderwebParams, rho_star: float) ->
     )
     n = a.shape[0]
     idx = np.arange(n)
-    t = Interval._make(t_outer.lo.copy(), t_outer.hi.copy())
-    t.lo[idx, idx], t.hi[idx, idx] = diag.lo, diag.hi
+    t = INTERVAL.where(np.eye(n, dtype=bool), diag[:, None], t_outer)
     m_lj = t_mixed[None]
-    m_jl = Interval._make(t_mixed.lo.T, t_mixed.hi.T)[None]
+    m_jl = t_mixed.T[None]
     block = max(1, core._CHUNK_ELEMS // (n * n))
     totals = np.empty(n)
     for start in range(0, n, block):
         rows = Interval.point(a[start:start + block])
         mags = (rows[:, :, None] * m_lj + rows[:, None, :] * m_jl).mag()
-        mags[:, idx, idx] = (rows[:, :, None] * t[None]).sum(axis=1).mag()
+        mags[:, idx, idx] = intervals.matmul(a[start:start + block], t).mag()
         totals[start:start + block] = intervals.pairwise_sum(
-            mags.reshape(mags.shape[0], -1), axis=1,
-            rounder=lambda x: np.nextafter(x, np.inf),
+            mags.reshape(mags.shape[0], -1), axis=1, rounder=intervals.up
         )
     _require_finite("Z2", "row totals", totals)
     return float(np.max(totals))
@@ -213,7 +210,7 @@ def radii_poly_check(Y0: float, Z0: float, Z2: float, rho_star: float):
             )
         cand = 2.0 * Y0 / ((1.0 - Z0) + np.sqrt(disc))
     one_minus_z0 = 1.0 - Interval.point(Z0)
-    rho0 = float(np.nextafter(cand, np.inf))
+    rho0 = float(intervals.up(cand))
     for bump in range(20):
         if rho0 > rho_star:
             break
@@ -240,9 +237,7 @@ def default_rho_star(center) -> float:
     return 1e-4 * tight
 
 
-def certify(
-    config: Configuration, rho_star_init: float | None = None, retries: int = 4
-) -> Certificate:
+def certify(config: Configuration, rho_star_init: float | None = None) -> Certificate:
     """Assemble A, compute (Y0, Z0, Z2), and run the radii-polynomial check,
     retrying with rho* halved then doubled when the failure is rho*-related.
 
@@ -265,8 +260,8 @@ def certify(
         raise CertificationFailed(
             Z0_TOO_LARGE, f"Z0 = {z0:.6g} >= 1 at the given center", Z0=z0
         )
-    ladder = [rho_base * 0.5**i for i in range(retries + 1)]
-    ladder += [rho_base * 2.0**i for i in range(1, retries + 1)]
+    ladder = [rho_base * 0.5**i for i in range(_RHO_RETRIES + 1)]
+    ladder += [rho_base * 2.0**i for i in range(1, _RHO_RETRIES + 1)]
     ladder = [r for r in ladder if np.isfinite(r) and r > 0]  # no over/underflow
     failure: CertificationFailed | None = None
     for rho_star in ladder:
@@ -296,6 +291,8 @@ def certify(
 
 _PRESAMPLE = 2001
 _DERIV_PANELS = 64
+# box budget of verify_h_lower_bound's bisection
+_MAX_BOXES = 400000
 
 
 def _h_deriv_bound(ell: int) -> float:
@@ -304,7 +301,7 @@ def _h_deriv_bound(ell: int) -> float:
     edges = np.linspace(0.0, 1.0, _DERIV_PANELS + 1)
     panels = Interval(edges[:-1], edges[1:])
     dv = core.h_ell_deriv(panels, ell, INTERVAL)
-    return float(np.nextafter(np.max(dv.mag()), np.inf))
+    return float(intervals.up(np.max(dv.mag())))
 
 
 def h_ell_check(ell: int, grid_points: int | None = None) -> HCheckReport:
@@ -346,7 +343,7 @@ def h_ell_check(ell: int, grid_points: int | None = None) -> HCheckReport:
     for _ in range(8):
         ts = np.linspace(0.0, 1.0, p + 1)
         spacing = float(np.max(np.diff(ts)))
-        if float(np.nextafter(deriv_bound * spacing, np.inf)) < m:
+        if float(intervals.up(deriv_bound * spacing)) < m:
             break
         p *= 2
     else:
@@ -358,7 +355,7 @@ def h_ell_check(ell: int, grid_points: int | None = None) -> HCheckReport:
     )
 
 
-def verify_h_lower_bound(ell: int, bound: float, max_boxes: int = 400000) -> bool:
+def verify_h_lower_bound(ell: int, bound: float) -> bool:
     """Rigorously verify min h_ell > bound on [0, 1] by adaptive bisection.
 
     Returns False when a violation is certain or when the box budget runs out
@@ -368,7 +365,7 @@ def verify_h_lower_bound(ell: int, bound: float, max_boxes: int = 400000) -> boo
     used = 0
     while lo.size:
         used += lo.size
-        if used > max_boxes:
+        if used > _MAX_BOXES:
             return False
         enclosure = core.h_ell(Interval(lo, hi), ell, INTERVAL)
         if np.any(enclosure.hi <= bound):
@@ -396,9 +393,10 @@ def dominance_check(params: SpiderwebParams, radii) -> bool:
     jac = core.jacobian(params, Interval.point(center), INTERVAL)
     n = params.n
     eye = np.eye(n, dtype=bool)
-    diag = Interval._make(jac.lo.diagonal().copy(), jac.hi.diagonal().copy())
+    idx = np.arange(n)
+    diag = jac[idx, idx]
     off_mag = np.where(eye, 0.0, jac.mag())
-    row = intervals.pairwise_sum(off_mag, axis=1, rounder=lambda x: np.nextafter(x, np.inf))
+    row = intervals.pairwise_sum(off_mag, axis=1, rounder=intervals.up)
     direct = diag.mig() > row
     if np.all(direct):
         return True

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -129,15 +128,18 @@ def parse_document(text: str):
         # radii are in the cone (no zeros, no NaN), so == is bitwise equality
         if not np.array_equal(cert.center, radii):
             raise ValueError("certificate center is not bitwise equal to the radii")
-    settings = _settings_from_json(doc.get("provenance", {}).get("settings"))
-    return params, radii, residual_norm, cert, settings
+    provenance = doc.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise ValueError("document provenance must be an object")
+    raw_settings = provenance.get("settings", {})
+    if not isinstance(raw_settings, dict):
+        raise ValueError("document provenance.settings must be an object")
+    return params, radii, residual_norm, cert, _settings_from_json(raw_settings)
 
 
-def _settings_from_json(raw) -> ContinuationSettings:
+def _settings_from_json(raw: dict) -> ContinuationSettings:
     """Settings of a document; other keys, such as the removed step factors
     and bisection tolerance that older versions wrote, are ignored."""
-    if not isinstance(raw, dict):
-        return ContinuationSettings()
     step = raw.get("mass_step_init")
     return ContinuationSettings(
         mass_step_init=None if step is None else float(step),
@@ -209,11 +211,10 @@ def cmd_scan(args) -> int:
     ells = [int(tok) for tok in args.ells.split(",") if tok.strip()]
     if not ells:
         raise ValueError("empty --ells list")
-    jobs = int(os.environ.get("SPIDERWEB_JOBS", args.jobs))
     settings = ContinuationSettings(newton_tol=args.tol)
     rows = analysis.scan(
         args.n_max, ells, args.masses,
-        settings=settings, m0=args.m0, lam=getattr(args, "lambda"), jobs=jobs,
+        settings=settings, m0=args.m0, lam=getattr(args, "lambda"), jobs=args.jobs,
     )
     with open(args.out, "w", newline="") as f:
         analysis.write_scan_csv(rows, f)
@@ -302,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m0", type=float, default=0.0)
     p.add_argument("--lambda", type=float, default=-1.0)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (env SPIDERWEB_JOBS overrides)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_scan)
 

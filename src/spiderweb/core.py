@@ -37,7 +37,6 @@ __all__ = [
     "jacobian",
     "hessian_parts",
     "lambda_values",
-    "lambda_gaps",
     "probe_ring_lambda",
     "h_ell",
     "h_ell_deriv",
@@ -445,12 +444,6 @@ def lambda_values(params: SpiderwebParams, radii, kind=FLOAT64):
     radii = _validate_radii(radii)
     r = kind.lift(radii)
     return _force_per_mass(radii, params.masses, params.m0, params.ell, kind) / r
-
-
-def lambda_gaps(params: SpiderwebParams, radii, kind=FLOAT64):
-    """Consecutive differences lambda_i - lambda_{i+1} (zero at a solution)."""
-    lam_i = lambda_values(params, radii, kind)
-    return lam_i[:-1] - lam_i[1:]
 
 
 def probe_ring_lambda(params: SpiderwebParams, radii, s: float) -> float:

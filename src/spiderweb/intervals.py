@@ -3,8 +3,9 @@
 An :class:`Interval` holds two float64 arrays ``lo <= hi`` of equal shape and
 broadcasts like numpy.  Every arithmetic operation returns an enclosure of the
 exact real result: endpoints are computed with correctly rounded IEEE-754
-double operations and then pushed one representable step away from the
-interval with ``nextafter``.  Scalars are 0-d arrays.
+double operations and then pushed outward by :func:`down` and :func:`up`, the
+only outward rounding in the package.  :func:`matmul` is its one point-matrix
+product.  Scalars are 0-d arrays.
 
 Cosines of rational multiples of 2*pi are enclosed by high-precision
 evaluation rounded outward to doubles (exact for angles whose reduced
@@ -33,16 +34,14 @@ class NegativeSqrt(IntervalError):
     pass
 
 
-_NEG_INF = -np.inf
-_POS_INF = np.inf
+def down(x):
+    """Outward step for lower endpoints: for finite x, a double below x."""
+    return np.nextafter(x, -np.inf)
 
 
-def _down(x):
-    return np.nextafter(x, _NEG_INF)
-
-
-def _up(x):
-    return np.nextafter(x, _POS_INF)
+def up(x):
+    """Outward step for upper endpoints: for finite x, a double above x."""
+    return np.nextafter(x, np.inf)
 
 
 def pairwise_sum(a, axis, rounder=None):
@@ -61,18 +60,6 @@ def pairwise_sum(a, axis, rounder=None):
         s = a[0:k:2] + a[1:k:2]
         a = s if rounder is None else rounder(s)
     return a[0]
-
-
-def powi_tree(x, p, *, mul, square):
-    """x**p for integer p >= 1 via a fixed square-and-multiply tree."""
-    if p < 1 or p != int(p):
-        raise ValueError(f"integer power must be >= 1, got {p}")
-    p = int(p)
-    if p == 1:
-        return x
-    if p % 2 == 0:
-        return powi_tree(square(x), p // 2, mul=mul, square=square)
-    return mul(x, powi_tree(square(x), (p - 1) // 2, mul=mul, square=square))
 
 
 class Interval:
@@ -124,11 +111,9 @@ class Interval:
     def __getitem__(self, idx):
         return Interval._make(self.lo[idx], self.hi[idx])
 
-    def width(self):
-        return self.hi - self.lo
-
-    def mid(self):
-        return 0.5 * (self.lo + self.hi)
+    @property
+    def T(self):
+        return Interval._make(self.lo.T, self.hi.T)
 
     def mag(self):
         """Exact upper bound of |x| over the interval."""
@@ -149,13 +134,13 @@ class Interval:
 
     def __add__(self, other):
         o = _coerce(other)
-        return Interval._make(_down(self.lo + o.lo), _up(self.hi + o.hi))
+        return Interval._make(down(self.lo + o.lo), up(self.hi + o.hi))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = _coerce(other)
-        return Interval._make(_down(self.lo - o.hi), _up(self.hi - o.lo))
+        return Interval._make(down(self.lo - o.hi), up(self.hi - o.lo))
 
     def __rsub__(self, other):
         return _coerce(other).__sub__(self)
@@ -166,8 +151,8 @@ class Interval:
         p2 = self.lo * o.hi
         p3 = self.hi * o.lo
         p4 = self.hi * o.hi
-        lo = _down(np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)))
-        hi = _up(np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)))
+        lo = down(np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)))
+        hi = up(np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)))
         return Interval._make(lo, hi)
 
     __rmul__ = __mul__
@@ -180,8 +165,8 @@ class Interval:
         q2 = self.lo / o.hi
         q3 = self.hi / o.lo
         q4 = self.hi / o.hi
-        lo = _down(np.minimum(np.minimum(q1, q2), np.minimum(q3, q4)))
-        hi = _up(np.maximum(np.maximum(q1, q2), np.maximum(q3, q4)))
+        lo = down(np.minimum(np.minimum(q1, q2), np.minimum(q3, q4)))
+        hi = up(np.maximum(np.maximum(q1, q2), np.maximum(q3, q4)))
         return Interval._make(lo, hi)
 
     def __rtruediv__(self, other):
@@ -190,8 +175,8 @@ class Interval:
     # -- reductions --------------------------------------------------------
 
     def sum(self, axis=-1):
-        lo = pairwise_sum(self.lo, axis, rounder=_down)
-        hi = pairwise_sum(self.hi, axis, rounder=_up)
+        lo = pairwise_sum(self.lo, axis, rounder=down)
+        hi = pairwise_sum(self.hi, axis, rounder=up)
         return Interval._make(np.asarray(lo), np.asarray(hi))
 
 
@@ -202,36 +187,19 @@ def _coerce(x):
 
 
 def sqrt(x):
-    if not isinstance(x, Interval):
-        x = Interval.point(x)
+    x = _coerce(x)
     if np.any(x.lo < 0.0):
         raise NegativeSqrt("sqrt of an interval with negative lower endpoint")
-    lo = np.maximum(_down(np.sqrt(x.lo)), 0.0)
-    hi = _up(np.sqrt(x.hi))
+    lo = np.maximum(down(np.sqrt(x.lo)), 0.0)
+    hi = up(np.sqrt(x.hi))
     return Interval._make(lo, hi)
 
 
 def square(x):
-    if not isinstance(x, Interval):
-        x = Interval.point(x)
+    x = _coerce(x)
     lo_abs = x.mig()
     hi_abs = x.mag()
-    return Interval._make(_down(lo_abs * lo_abs), _up(hi_abs * hi_abs))
-
-
-def powi(x, p):
-    """x**p for integer p >= 0 (p = 0 gives the exact point interval 1)."""
-    if p == 0:
-        one = np.ones(np.shape(x.lo) if isinstance(x, Interval) else np.shape(x))
-        return Interval.point(one)
-    return powi_tree(_coerce(x), p, mul=Interval.__mul__, square=square)
-
-
-def pow_half(x, p):
-    """x**(p/2) for odd positive p, computed as sqrt(x)**p."""
-    if p % 2 == 0:
-        raise ValueError("pow_half expects an odd exponent numerator")
-    return powi(sqrt(x), p)
+    return Interval._make(down(lo_abs * lo_abs), up(hi_abs * hi_abs))
 
 
 def vector_sup_norm(v: Interval) -> float:
@@ -242,14 +210,17 @@ def vector_sup_norm(v: Interval) -> float:
 def matrix_sup_norm(m: Interval) -> float:
     """Rigorous upper bound of the operator sup norm (max row sum) of an
     interval matrix."""
-    row = pairwise_sum(m.mag(), axis=1, rounder=_up)
+    row = pairwise_sum(m.mag(), axis=1, rounder=up)
     return float(np.max(row))
 
 
-def matvec(a: np.ndarray, v: Interval) -> Interval:
-    """Enclosure of A @ v for a float matrix A (treated as exact)."""
-    prod = Interval.point(np.asarray(a, dtype=np.float64)) * v[None, :]
-    return prod.sum(axis=1)
+def matmul(a: np.ndarray, x: Interval) -> Interval:
+    """Enclosure of A @ x for a float matrix A (treated as exact) and an
+    interval vector or matrix x."""
+    a = Interval.point(a)
+    if x.ndim == 1:
+        return (a * x[None, :]).sum(axis=1)
+    return (a[:, :, None] * x[None, :, :]).sum(axis=1)
 
 
 # -- enclosures of cos(2*pi*k/l) ----------------------------------------
@@ -284,16 +255,5 @@ def _cos_two_pi_data(num: int, den: int):
     # rounded double is within one representable step of the true cosine
     with mpmath.workdps(40):
         f = float(mpmath.cos(2 * mpmath.pi * mpmath.mpf(num) / den))
-    lo, hi = float(_down(f)), float(_up(f))
+    lo, hi = float(down(f)), float(up(f))
     return max(lo, -1.0), f, min(hi, 1.0)
-
-
-def cos_two_pi(num: int, den: int) -> Interval:
-    """Enclosure of cos(2*pi*num/den) for exact integers num, den."""
-    lo, _, hi = _cos_two_pi_data(num, den)
-    return Interval(lo, hi)
-
-
-def cos_two_pi_float(num: int, den: int) -> float:
-    """Correctly rounded double inside the matching interval enclosure."""
-    return _cos_two_pi_data(num, den)[1]

@@ -12,7 +12,19 @@ from spiderweb.core import (
     hessian_parts,
     zeta,
 )
-from spiderweb.intervals import Interval, powi_tree
+from spiderweb.intervals import Interval
+
+
+def powi_tree(x, p, *, mul, square):
+    """x**p for integer p >= 1 via a fixed square-and-multiply tree."""
+    if p < 1 or p != int(p):
+        raise ValueError(f"integer power must be >= 1, got {p}")
+    p = int(p)
+    if p == 1:
+        return x
+    if p % 2 == 0:
+        return powi_tree(square(x), p // 2, mul=mul, square=square)
+    return mul(x, powi_tree(square(x), (p - 1) // 2, mul=mul, square=square))
 
 
 def _guard_phi_argument(x, ell):

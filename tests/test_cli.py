@@ -18,6 +18,7 @@ from spiderweb.cli import (
     main,
     parse_document,
 )
+from spiderweb.solver import ContinuationSettings
 
 
 def run(args):
@@ -163,14 +164,6 @@ def test_scan_cli_writes_deterministic_csv(tmp_path, capsys):
     assert all(line.endswith(",ok") for line in rows[1:])
 
 
-def test_scan_jobs_env_override(tmp_path, monkeypatch):
-    out = tmp_path / "scan.csv"
-    monkeypatch.setenv("SPIDERWEB_JOBS", "2")
-    assert run(["scan", "--n-max", 1, "--ells", "3", "--masses", "equal:1",
-                "--jobs", 1, "--out", out]) == EXIT_OK
-    assert out.exists()
-
-
 def test_module_entry_point(tmp_path):
     out = tmp_path / "sol.json"
     proc = subprocess.run(
@@ -263,3 +256,31 @@ def test_document_with_removed_settings_keys_still_works(tmp_path):
     assert doc["certificate"] is not None
     assert set(doc["provenance"]["settings"]) == {"mass_step_init", "newton_tol",
                                                   "newton_max_iter"}
+
+
+@pytest.mark.parametrize("provenance", [None, [], "x", {"settings": [1]}],
+                         ids=["null", "list", "string", "settings-list"])
+def test_malformed_provenance_is_rejected(tmp_path, capsys, provenance):
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--n", 2, "--ell", 4, "--masses", "equal:1",
+                "--out", out]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    doc["provenance"] = provenance
+    out.write_text(emit_document(doc))
+    for argv in (["certify", "--input", out],
+                 ["analyze", "--input", out, "--out", tmp_path / "a.csv"]):
+        capsys.readouterr()
+        assert run(argv) == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert err["exit_code"] == EXIT_VALIDATION and "provenance" in err["message"]
+
+
+def test_missing_provenance_means_default_settings(tmp_path):
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--n", 2, "--ell", 4, "--masses", "equal:1",
+                "--out", out]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    del doc["provenance"]["settings"]
+    assert parse_document(emit_document(doc))[4] == ContinuationSettings()
+    del doc["provenance"]
+    assert parse_document(emit_document(doc))[4] == ContinuationSettings()

@@ -14,13 +14,9 @@ from spiderweb.intervals import (
     DivisionByZeroInterval,
     Interval,
     NegativeSqrt,
-    cos_two_pi,
-    cos_two_pi_float,
-    matvec,
+    matmul,
     matrix_sup_norm,
     pairwise_sum,
-    pow_half,
-    powi,
     vector_sup_norm,
 )
 
@@ -98,24 +94,6 @@ def test_sqrt_encloses_exact(a, b):
         assert mpmath.sqrt(mpmath.mpf(float(iv.hi))) <= mpmath.mpf(float(z.hi))
 
 
-@given(interval_pairs(), st.integers(min_value=0, max_value=9))
-def test_powi_encloses_exact(pair, p):
-    x, _ = pair
-    z = powi(x, p)
-    for a in (x.lo, x.hi, x.mid()):
-        assert_encloses(z, Fraction(float(a)) ** p)
-
-
-@given(st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),
-       st.sampled_from([1, 3, 5, 7]))
-def test_pow_half_encloses_exact(a, p):
-    iv = Interval.point(a)
-    z = pow_half(iv, p)
-    with mpmath.workdps(60):
-        exact = mpmath.mpf(float(a)) ** (mpmath.mpf(p) / 2)
-        assert mpmath.mpf(float(z.lo)) <= exact <= mpmath.mpf(float(z.hi))
-
-
 def test_trivial_arithmetic_examples():
     z = Interval(1, 2) + Interval(3, 4)
     assert float(z.lo) <= 4.0 <= 6.0 <= float(z.hi)
@@ -153,12 +131,11 @@ def test_cos_enclosures_contain_true_value(ell):
     with mpmath.workdps(60):
         slack = mpmath.mpf(10) ** -55
         for k in range(ell):
-            iv = cos_two_pi(k, ell)
+            lo, f, hi = intervals._cos_two_pi_data(k, ell)
             true = mpmath.cos(2 * mpmath.pi * k / ell)
-            assert mpmath.mpf(float(iv.lo)) <= true + slack
-            assert true - slack <= mpmath.mpf(float(iv.hi))
-            f = cos_two_pi_float(k, ell)
-            assert float(iv.lo) <= f <= float(iv.hi)
+            assert mpmath.mpf(lo) <= true + slack
+            assert true - slack <= mpmath.mpf(hi)
+            assert lo <= f <= hi
 
 
 def test_cos_enclosure_width_below_1e15_up_to_ell_256():
@@ -172,21 +149,25 @@ def test_cos_enclosure_width_below_1e15_up_to_ell_256():
 
 
 def test_cos_exact_special_angles():
-    assert cos_two_pi(1, 4).width() == 0.0 and cos_two_pi_float(1, 4) == 0.0
-    assert cos_two_pi_float(1, 2) == -1.0
-    assert cos_two_pi_float(1, 3) == -0.5
-    assert cos_two_pi_float(1, 6) == 0.5
-    assert cos_two_pi_float(0, 17) == 1.0
+    def nearest(num, den):
+        return intervals._cos_two_pi_data(num, den)[1]
+
+    lo, f, hi = intervals._cos_two_pi_data(1, 4)
+    assert hi - lo == 0.0 and f == 0.0
+    assert nearest(1, 2) == -1.0
+    assert nearest(1, 3) == -0.5
+    assert nearest(1, 6) == 0.5
+    assert nearest(0, 17) == 1.0
     # multiples reduce: cos(2*pi*5/10) = cos(pi)
-    assert cos_two_pi_float(5, 10) == -1.0
+    assert nearest(5, 10) == -1.0
 
 
 @given(st.lists(finite, min_size=1, max_size=40))
 def test_directed_pairwise_sum_brackets_exact(xs):
     arr = np.array(xs)
     exact = sum(Fraction(float(v)) for v in xs)
-    up = pairwise_sum(arr, axis=0, rounder=lambda x: np.nextafter(x, np.inf))
-    down = pairwise_sum(arr, axis=0, rounder=lambda x: np.nextafter(x, -np.inf))
+    up = pairwise_sum(arr, axis=0, rounder=intervals.up)
+    down = pairwise_sum(arr, axis=0, rounder=intervals.down)
     assert Fraction(float(down)) <= exact <= Fraction(float(up))
     # float-mode tree sits inside the directed bracket
     plain = pairwise_sum(arr, axis=0)
@@ -205,18 +186,36 @@ def test_interval_sum_matches_pairwise_tree():
 def test_matvec_and_norms():
     a = np.array([[1.0, -2.0], [0.5, 3.0]])
     v = Interval(np.array([1.0, -1.0]), np.array([1.0, -1.0]))
-    z = matvec(a, v)
+    z = matmul(a, v)
     expect = a @ np.array([1.0, -1.0])
     assert np.all(z.lo <= expect) and np.all(expect <= z.hi)
     assert vector_sup_norm(z) >= float(np.max(np.abs(expect)))
     m = Interval.point(a)
     assert matrix_sup_norm(m) >= 3.5  # |0.5| + |3.0|
 
+    # a matrix x: both endpoint matrices lie in x, so each exact product
+    # A @ x.lo and A @ x.hi lies in the enclosure
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((3, 5)) / 3.0
+    lo = rng.standard_normal((5, 4)) / 7.0
+    x = Interval(lo, lo + rng.uniform(0.0, 0.1, size=lo.shape))
+    z = matmul(a, x)
+    assert z.shape == (3, 4)
+    for pick in (x.lo, x.hi):
+        for i in range(3):
+            for j in range(4):
+                exact = sum(Fraction(a[i, k]) * Fraction(pick[k, j]) for k in range(5))
+                assert Fraction(z.lo[i, j]) <= exact <= Fraction(z.hi[i, j])
+    # a vector is the one-column case of the same product
+    col = matmul(a, x[:, 1])
+    assert np.array_equal(col.lo, z.lo[:, 1]) and np.array_equal(col.hi, z.hi[:, 1])
+
 
 def test_broadcasting_and_indexing():
     iv = Interval(np.zeros((2, 3)), np.ones((2, 3)))
     assert iv[0, 1].shape == ()
     assert iv[:, None, :].shape == (2, 1, 3)
+    assert iv.T.shape == (3, 2) and np.array_equal(iv.T.hi, iv.hi.T)
     z = iv + 1.0
     assert z.shape == (2, 3)
     assert np.all(z.lo >= 0.99)
