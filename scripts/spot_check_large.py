@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paper-scale spot check: build and rigorously certify the n = 100,
-ell = 200 equal-mass configuration (about 32 s on a 2-core Intel Xeon:
-build 27 s, certify 5 s).
+ell = 200 equal-mass configuration (about 31 s on a 2-core Intel Xeon:
+build 29 s, certify 2.1 s).
 
 The Newton tolerance sits above the float evaluation floor of |f|_inf at
 this size (~1e-11); the certificate is rigorous regardless and simply

@@ -368,9 +368,12 @@ def verify_h_lower_bound(ell: int, bound: float) -> bool:
         if used > _MAX_BOXES:
             return False
         enclosure = core.h_ell(Interval(lo, hi), ell, INTERVAL)
+        # a NaN compares False both ways, so only lo > bound decides a box
+        if not (np.isfinite(enclosure.lo).all() and np.isfinite(enclosure.hi).all()):
+            return False
         if np.any(enclosure.hi <= bound):
             return False
-        undecided = enclosure.lo <= bound
+        undecided = ~(enclosure.lo > bound)
         if not np.any(undecided):
             return True
         lo, hi = lo[undecided], hi[undecided]

@@ -40,6 +40,14 @@ def _parse_real(s, name):
         raise ValueError(f"field {name!r} is not a decimal string: {s!r}") from None
 
 
+def _parse_int(v, name):
+    """A JSON integer: not a float such as 2.7 and not a boolean, which
+    Python would take as 0 or 1."""
+    if type(v) is not int:
+        raise ValueError(f"field {name!r} is not an integer: {v!r}")
+    return v
+
+
 def settings_to_json(settings: ContinuationSettings) -> dict:
     return {
         "mass_step_init": _fmt_opt(settings.mass_step_init),
@@ -95,15 +103,16 @@ def parse_document(text: str):
 
     Returns (params, radii, residual_norm, certificate_or_None, settings)."""
     doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError("unsupported or missing schema_version")
     praw = doc.get("params")
     if not isinstance(praw, dict):
         raise ValueError("document lacks a params object")
     masses = [_parse_real(m, "masses") for m in praw.get("masses", [])]
     params = SpiderwebParams(
-        n=praw.get("n"),
-        ell=praw.get("ell"),
+        n=_parse_int(praw.get("n"), "n"),
+        ell=_parse_int(praw.get("ell"), "ell"),
         m0=_parse_real(praw.get("m0"), "m0"),
         masses=np.array(masses),
         lam=_parse_real(praw.get("lambda"), "lambda"),
@@ -144,7 +153,7 @@ def _settings_from_json(raw: dict) -> ContinuationSettings:
     return ContinuationSettings(
         mass_step_init=None if step is None else float(step),
         newton_tol=float(raw.get("newton_tol", 1e-12)),
-        newton_max_iter=int(raw.get("newton_max_iter", 50)),
+        newton_max_iter=_parse_int(raw.get("newton_max_iter", 50), "newton_max_iter"),
     )
 
 

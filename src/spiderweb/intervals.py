@@ -7,6 +7,30 @@ double operations and then pushed outward by :func:`down` and :func:`up`, the
 only outward rounding in the package.  :func:`matmul` is its one point-matrix
 product.  Scalars are 0-d arrays.
 
+A point is an interval whose ``lo is hi`` (:meth:`Interval.point`; indexing
+and ``.T`` keep it).  Products and quotients take the fewest endpoint
+operations that give the endpoints of the four-product form (Rump, "Fast and
+parallel interval arithmetic", BIT 39, 1999): two products when a factor is a
+point, ``[lo*lo, hi*hi]`` when both factors are nonnegative, two quotients
+for a positive divisor, and no ``mig``/``mag`` in the square of a nonnegative
+interval.  The sign test of two product factors is made only when one has at
+least ``_LEAN_MIN_SIZE`` elements, where it pays for itself; the divisor's
+replaces the zero test division needs anyway, and the square's costs less
+than the ``mig``/``mag`` it skips.
+
+Outward rounding is the successor bound of Rump, Zimmermann, Boldo &
+Melquiond, "Computing predecessor and successor in rounding to nearest",
+BIT 49 (2009): ``x + (|x| phi + eta)`` with phi = 2^-53 (1 + 2^-52) and
+eta = 2^-1074, rounded to nearest, is at least the successor of every finite
+double x (``x - (...)`` at most its predecessor).  It equals ``np.nextafter``
+except for 2^-1022 <= |x| <= 2^-1020, where it may step further out (and in
+the sign of a zero result).  Four cheap ufuncs
+beat one ``np.nextafter`` on large arrays but lose on small ones, so arrays
+below ``_LEAN_MIN_SIZE`` elements keep ``np.nextafter``.  An infinite endpoint
+rounds to NaN on its inward side (``down(inf)``, ``up(-inf)``), where
+``np.nextafter`` gives the largest double: such an enclosure is not finite
+either way, and the certifier rejects it.
+
 Cosines of rational multiples of 2*pi are enclosed by high-precision
 evaluation rounded outward to doubles (exact for angles whose reduced
 denominator is 1, 2, 3, 4 or 6), so every enclosure is at most two units in
@@ -34,14 +58,72 @@ class NegativeSqrt(IntervalError):
     pass
 
 
+#: Arrays with fewer elements are rounded by ``np.nextafter`` and multiplied
+#: without sign tests: below this size the extra ufunc dispatches of the
+#: successor bound and of the tests cost more than they save.
+_LEAN_MIN_SIZE = 256
+# the successor bound's constants phi = 2^-53 (1 + 2^-52) and eta = 2^-1074
+_PHI = 2.0**-53 * (1.0 + 2.0**-52)
+_ETA = 2.0**-1074
+
+
+def _ulp_bound(x, out=None):
+    """|x| phi + eta, rounded to nearest: at least one unit in the last place
+    of x, and at least the smallest subnormal."""
+    e = np.abs(x, out=out)
+    e *= _PHI
+    e += _ETA
+    return e
+
+
 def down(x):
-    """Outward step for lower endpoints: for finite x, a double below x."""
-    return np.nextafter(x, -np.inf)
+    """Outward step for lower endpoints: for finite x, a double below x
+    (the predecessor unless 2^-1022 <= |x| <= 2^-1020).  Leaves x unchanged;
+    see the module docstring for the bound, the size cutoff and infinities."""
+    if np.size(x) < _LEAN_MIN_SIZE:
+        return np.nextafter(x, -np.inf)
+    e = _ulp_bound(x)
+    return np.subtract(x, e, out=e)
 
 
 def up(x):
-    """Outward step for upper endpoints: for finite x, a double above x."""
-    return np.nextafter(x, np.inf)
+    """Outward step for upper endpoints: for finite x, a double above x
+    (the successor unless 2^-1022 <= |x| <= 2^-1020).  Leaves x unchanged;
+    see the module docstring for the bound, the size cutoff and infinities."""
+    if np.size(x) < _LEAN_MIN_SIZE:
+        return np.nextafter(x, np.inf)
+    e = _ulp_bound(x)
+    return np.add(x, e, out=e)
+
+
+def _outward(lo, hi, scratch=None):
+    """The interval [down(lo), up(hi)] for endpoint arrays of one shape that
+    the caller gives up.  Large ones are rounded in place, with ``scratch``
+    (another array of that shape the caller gives up, or None) as work
+    space."""
+    if lo.size < _LEAN_MIN_SIZE:
+        return Interval._make(down(lo), up(hi))
+    e = _ulp_bound(lo, out=scratch)
+    lo -= e
+    hi += _ulp_bound(hi, out=e)
+    return Interval._make(lo, hi)
+
+
+def _hull(q1, q2, *more):
+    """The interval [down(min), up(max)] over candidate endpoint arrays of
+    one shape that the caller gives up, reusing their memory."""
+    own = isinstance(q1, np.ndarray)  # 0-d operands give numpy scalars
+    lo = np.minimum(q1, q2)
+    hi = np.maximum(q1, q2, out=q1 if own else None)
+    for q in more:
+        lo = np.minimum(lo, q, out=lo if own else None)
+        hi = np.maximum(hi, q, out=hi if own else None)
+    return _outward(lo, hi, scratch=q2)
+
+
+def _nonneg(a):
+    """Every element >= 0 (a NaN is not)."""
+    return bool((a >= 0.0).all())
 
 
 def pairwise_sum(a, axis, rounder=None):
@@ -89,6 +171,8 @@ class Interval:
 
     @classmethod
     def point(cls, x):
+        """The degenerate interval [x, x], held with ``lo is hi`` so that
+        products with it take two endpoint products instead of four."""
         x = np.asarray(x, dtype=np.float64)
         return cls._make(x, x)
 
@@ -109,11 +193,13 @@ class Interval:
         return f"Interval({self.lo!r}, {self.hi!r})"
 
     def __getitem__(self, idx):
-        return Interval._make(self.lo[idx], self.hi[idx])
+        lo = self.lo[idx]
+        return Interval._make(lo, lo if self.lo is self.hi else self.hi[idx])
 
     @property
     def T(self):
-        return Interval._make(self.lo.T, self.hi.T)
+        lo = self.lo.T
+        return Interval._make(lo, lo if self.lo is self.hi else self.hi.T)
 
     def mag(self):
         """Exact upper bound of |x| over the interval."""
@@ -134,40 +220,40 @@ class Interval:
 
     def __add__(self, other):
         o = _coerce(other)
-        return Interval._make(down(self.lo + o.lo), up(self.hi + o.hi))
+        return _outward(self.lo + o.lo, self.hi + o.hi)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = _coerce(other)
-        return Interval._make(down(self.lo - o.hi), up(self.hi - o.lo))
+        return _outward(self.lo - o.hi, self.hi - o.lo)
 
     def __rsub__(self, other):
         return _coerce(other).__sub__(self)
 
     def __mul__(self, other):
         o = _coerce(other)
-        p1 = self.lo * o.lo
-        p2 = self.lo * o.hi
-        p3 = self.hi * o.lo
-        p4 = self.hi * o.hi
-        lo = down(np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)))
-        hi = up(np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)))
-        return Interval._make(lo, hi)
+        if self.lo is self.hi or o.lo is o.hi:
+            x, p = (o, self.lo) if self.lo is self.hi else (self, o.lo)
+            return _hull(x.lo * p, x.hi * p)
+        large = max(self.lo.size, o.lo.size) >= _LEAN_MIN_SIZE
+        if large and _nonneg(self.lo) and _nonneg(o.lo):
+            return _outward(self.lo * o.lo, self.hi * o.hi)
+        return _hull(self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = _coerce(other)
+        if (o.lo > 0.0).all():
+            # the lower end divides self.lo by the divisor's far end when
+            # self.lo >= 0 and by its near end otherwise; the upper end mirrors it
+            lo = np.where(self.lo >= 0.0, o.hi, o.lo)
+            hi = np.where(self.hi >= 0.0, o.lo, o.hi)
+            return _outward(np.divide(self.lo, lo, out=lo), np.divide(self.hi, hi, out=hi))
         if np.any(o.contains_zero()):
             raise DivisionByZeroInterval("divisor interval contains zero")
-        q1 = self.lo / o.lo
-        q2 = self.lo / o.hi
-        q3 = self.hi / o.lo
-        q4 = self.hi / o.hi
-        lo = down(np.minimum(np.minimum(q1, q2), np.minimum(q3, q4)))
-        hi = up(np.maximum(np.maximum(q1, q2), np.maximum(q3, q4)))
-        return Interval._make(lo, hi)
+        return _hull(self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
 
     def __rtruediv__(self, other):
         return _coerce(other).__truediv__(self)
@@ -197,9 +283,11 @@ def sqrt(x):
 
 def square(x):
     x = _coerce(x)
+    if _nonneg(x.lo):
+        return _outward(x.lo * x.lo, x.hi * x.hi)
     lo_abs = x.mig()
     hi_abs = x.mag()
-    return Interval._make(down(lo_abs * lo_abs), up(hi_abs * hi_abs))
+    return _outward(lo_abs * lo_abs, hi_abs * hi_abs)
 
 
 def vector_sup_norm(v: Interval) -> float:

@@ -1,6 +1,8 @@
 """Test-only cross-checks of the spoke-sum formulas in ``spiderweb.core``:
 the phi form of forces and Jacobian, built from phi_nu(x) = sum_k d_k(x)^-nu,
-the dense Hessian tensor and the Jacobian row sums, in both scalar kinds."""
+the dense Hessian tensor and the Jacobian row sums, in both scalar kinds; and
+the four-endpoint interval product, quotient and square that the lean forms
+of ``spiderweb.intervals`` must reproduce."""
 
 import numpy as np
 
@@ -12,7 +14,7 @@ from spiderweb.core import (
     hessian_parts,
     zeta,
 )
-from spiderweb.intervals import Interval
+from spiderweb.intervals import Interval, down, up
 
 
 def powi_tree(x, p, *, mul, square):
@@ -175,3 +177,25 @@ def hessian(params: SpiderwebParams, radii, kind=FLOAT64):
 def jacobian_row_sums(jac, kind=FLOAT64):
     """-d_i f_i - sum_{j != i} d_j f_i for every row of a Jacobian matrix."""
     return -kind.sum(jac, axis=1)
+
+
+def _four_endpoint_hull(p1, p2, p3, p4):
+    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
+    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+    return Interval._make(down(lo), up(hi))
+
+
+def mul_four(x: Interval, y: Interval) -> Interval:
+    """x * y from all four endpoint products, rounded by the same up/down."""
+    return _four_endpoint_hull(x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
+
+
+def div_four(x: Interval, y: Interval) -> Interval:
+    """x / y, for y not containing zero, from all four endpoint quotients."""
+    return _four_endpoint_hull(x.lo / y.lo, x.lo / y.hi, x.hi / y.lo, x.hi / y.hi)
+
+
+def square_mig_mag(x: Interval) -> Interval:
+    """x^2 as [mig(x)^2, mag(x)^2]."""
+    lo, hi = x.mig(), x.mag()
+    return Interval._make(down(lo * lo), up(hi * hi))

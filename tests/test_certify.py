@@ -419,6 +419,18 @@ def test_h_lower_bound_verifier_is_sound():
     assert not cz.verify_h_lower_bound(10, -0.40)
 
 
+@pytest.mark.parametrize("lo,hi", [(np.nan, np.nan), (np.nan, 2e6), (2e6, np.inf)],
+                         ids=["nan", "nan-lo", "inf-hi"])
+def test_h_lower_bound_verifier_fails_closed_on_non_finite_enclosure(monkeypatch, lo, hi):
+    # NaN compares False against any bound, so it must never decide a box
+    def broken_h(x, ell, kind=core.FLOAT64):
+        shape = np.shape(x.lo)
+        return Interval._make(np.full(shape, lo), np.full(shape, hi))
+
+    monkeypatch.setattr(core, "h_ell", broken_h)
+    assert cz.verify_h_lower_bound(7, 1e6) is False
+
+
 # ---------------------------------------------------------------------------
 # dominance
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from spiderweb import cli, core
+from spiderweb import cli, core, intervals
 from spiderweb.cli import (
     EXIT_CERTIFICATION,
     EXIT_OK,
@@ -216,6 +216,51 @@ def test_non_finite_bound_exit_code(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         assert run(["certify", "--input", out]) == EXIT_CERTIFICATION
         assert "NON_FINITE_BOUND" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_overflowing_interval_product_exits_non_finite(tmp_path, capsys, monkeypatch):
+    # A scaled by 1e308 makes the (n, n, n) products of A Df in Z0 overflow;
+    # at n = 7 they are rounded by the successor bound, under which an
+    # infinite endpoint's inward side is NaN.  That must exit 4, not prove.
+    n = 7
+    assert n**3 >= intervals._LEAN_MIN_SIZE
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--n", n, "--ell", 2 * n, "--masses", "equal:1",
+                "--out", out]) == EXIT_OK
+    real_inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda m: real_inv(m) * 1e308)
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(["certify", "--input", out]) == EXIT_CERTIFICATION
+    err = json.loads(capsys.readouterr().err)
+    assert "NON_FINITE_BOUND" in err["message"] and "Z0" in err["message"]
+    assert json.loads(out.read_text())["certificate"] is None
+
+
+@pytest.mark.parametrize("path,value", [
+    (("provenance", "settings", "newton_max_iter"), 2.7),
+    (("provenance", "settings", "newton_max_iter"), True),
+    (("schema_version",), True),
+    (("params", "n"), True),
+], ids=["max-iter-float", "max-iter-bool", "schema-bool", "n-bool"])
+def test_document_integers_must_be_json_integers(tmp_path, capsys, path, value):
+    # Python reads true as 1 and int(2.7) as 2; a document means neither
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--n", 1, "--ell", 2, "--masses", "equal:1",
+                "--out", out]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    *parents, key = path
+    node = doc
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    text = emit_document(doc)
+    with pytest.raises(ValueError, match=key):
+        parse_document(text)
+    out.write_text(text)
+    capsys.readouterr()
+    assert run(["certify", "--input", out]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["exit_code"] == EXIT_VALIDATION
 
 
 @pytest.mark.parametrize("rho_star", ["nan", "inf", "0"])

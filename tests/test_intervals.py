@@ -2,6 +2,7 @@
 rational arithmetic (Fraction) and high-precision oracles (mpmath)."""
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from spiderweb import intervals
 from spiderweb.intervals import (
     DivisionByZeroInterval,
@@ -216,6 +218,148 @@ def test_broadcasting_and_indexing():
     assert iv[0, 1].shape == ()
     assert iv[:, None, :].shape == (2, 1, 3)
     assert iv.T.shape == (3, 2) and np.array_equal(iv.T.hi, iv.hi.T)
+    # a point stays one (lo is hi) through indexing and .T
+    pt = Interval.point(np.arange(6.0).reshape(2, 3))
+    for view in (pt[0], pt[:, None, :], pt[[1, 0]], pt[0, 1], pt.T):
+        assert view.lo is view.hi
     z = iv + 1.0
     assert z.shape == (2, 3)
     assert np.all(z.lo >= 0.99)
+
+
+# -- outward rounding ------------------------------------------------------
+
+MAX = sys.float_info.max
+# the successor bound equals nextafter outside this band of |x|
+_LOOSE_BAND = (2.0**-1022, 2.0**-1020)
+
+doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda sign, k: sign * 2.0**k, st.sampled_from([1.0, -1.0]),
+              st.integers(-1074, 1023)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022),
+                     2.0**-1020, MAX, -MAX]),
+)
+
+
+def _large(x):
+    """x repeated to an array that takes the successor-bound path."""
+    big = np.resize(x, max(x.size, intervals._LEAN_MIN_SIZE))
+    assert big.size >= intervals._LEAN_MIN_SIZE
+    return big
+
+
+@given(st.lists(doubles, min_size=1, max_size=24))
+def test_rounding_is_at_least_nextafter(xs):
+    for x in (np.array(xs), _large(np.array(xs))):
+        with np.errstate(over="ignore"):
+            u, d = intervals.up(x), intervals.down(x)
+            succ, pred = np.nextafter(x, np.inf), np.nextafter(x, -np.inf)
+        assert np.all(u >= succ) and np.all(d <= pred)
+        exact = np.abs(x) > _LOOSE_BAND[1]
+        assert np.array_equal(u[exact], succ[exact])
+        assert np.array_equal(d[exact], pred[exact])
+
+
+@given(doubles)
+def test_rounding_agrees_across_input_kinds_and_sizes(x):
+    """A Python float, a 0-d array and arrays on both sides of the size
+    cutoff round alike, except in the band where the bound is looser."""
+    small = np.full(3, x)
+    large = _large(small)
+    with np.errstate(over="ignore"):
+        for step in (intervals.up, intervals.down):
+            ref = float(step(x))
+            assert float(step(np.array(x))) == ref
+            assert np.all(step(small) == ref)
+            big = step(large)
+            if _LOOSE_BAND[0] <= abs(x) <= _LOOSE_BAND[1]:
+                assert np.all(big >= ref) if step is intervals.up else np.all(big <= ref)
+            else:
+                assert np.all(big == ref)
+
+
+def test_rounding_of_infinities():
+    big = intervals._LEAN_MIN_SIZE
+    inf = np.full(big, np.inf)
+    with np.errstate(invalid="ignore"):
+        assert np.all(intervals.up(inf) == np.inf)
+        assert np.all(intervals.down(-inf) == -np.inf)
+        # the inward side of an infinite endpoint is NaN, never a finite bound
+        assert np.all(np.isnan(intervals.down(inf)))
+        assert np.all(np.isnan(intervals.up(-inf)))
+
+
+def test_rounding_leaves_its_argument_unchanged():
+    x = np.linspace(-3.0, 3.0, 2 * intervals._LEAN_MIN_SIZE)
+    before = x.copy()
+    intervals.up(x)
+    intervals.down(x)
+    assert np.array_equal(x, before)
+
+
+# -- lean products against the four-endpoint forms --------------------------
+
+# zeros of both signs, subnormals, mixed signs and products that overflow
+endpoints = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, -1.0]),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.floats(min_value=-1e300, max_value=1e300),
+)
+
+
+@st.composite
+def interval_arrays(draw, size, sign=None):
+    """An interval array of ``size`` drawn endpoint pairs; sign "nonneg"
+    takes their magnitudes, "positive" also lifts zeros to the smallest
+    subnormal."""
+    a = np.array(draw(st.lists(endpoints, min_size=size, max_size=size)))
+    b = np.array(draw(st.lists(endpoints, min_size=size, max_size=size)))
+    if sign is not None:
+        a, b = np.abs(a), np.abs(b)
+    if sign == "positive":
+        a, b = np.maximum(a, 5e-324), np.maximum(b, 5e-324)
+    return Interval(np.minimum(a, b), np.maximum(a, b))
+
+
+def _tiled(x: Interval, point=False):
+    """x as is and repeated past the size cutoff, optionally as a point."""
+    out = []
+    for iv in (x, Interval(_large(x.lo), _large(x.hi))):
+        out.append(Interval.point(iv.lo) if point else iv)
+    return out
+
+
+def assert_same_interval(got, want):
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(got.lo, want.lo, equal_nan=True)
+        assert np.array_equal(got.hi, want.hi, equal_nan=True)
+
+
+@given(st.data(), st.integers(1, 8))
+def test_lean_mul_matches_four_products(data, size):
+    draw = data.draw
+    pairs = [
+        (draw(interval_arrays(size)), draw(interval_arrays(size)), True),
+        (draw(interval_arrays(size)), draw(interval_arrays(size)), False),
+        (draw(interval_arrays(size, "nonneg")), draw(interval_arrays(size, "nonneg")), False),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, y, y_point in pairs:
+            for xs, ys in zip(_tiled(x), _tiled(y, point=y_point)):
+                assert_same_interval(xs * ys, oracles.mul_four(xs, ys))
+                assert_same_interval(ys * xs, oracles.mul_four(xs, ys))
+
+
+@given(st.data(), st.integers(1, 8))
+def test_lean_div_and_square_match_four_endpoint_forms(data, size):
+    draw = data.draw
+    x = draw(interval_arrays(size))
+    for d in (draw(interval_arrays(size, "positive")), -draw(interval_arrays(size, "positive"))):
+        for xs, ds in zip(_tiled(x), _tiled(d)):
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                assert_same_interval(xs / ds, oracles.div_four(xs, ds))
+    for v in (x, draw(interval_arrays(size, "nonneg"))):
+        for vs in _tiled(v):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert_same_interval(intervals.square(vs), oracles.square_mig_mag(vs))
