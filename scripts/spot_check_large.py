@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Paper-scale spot check: build and rigorously certify the n = 100,
-ell = 200 equal-mass configuration (about 31 s on a 2-core Intel Xeon:
-build 29 s, certify 2.1 s).
+ell = 200 equal-mass configuration.  One run on a 2-core Intel Xeon with
+OPENBLAS_NUM_THREADS=1: build 28.8 s, certify 1.8 s (|f| = 1.37e-11,
+Y0 = 1.89e-12, Z0 = 3.73e-09, Z2 = 6.69e+04, rho0 = 1.89e-12).
 
 The Newton tolerance sits above the float evaluation floor of |f|_inf at
 this size (~1e-11); the certificate is rigorous regardless and simply

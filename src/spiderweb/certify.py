@@ -17,8 +17,8 @@ diag on its diagonal, row i of the Z2 fold is
 
     sum_l |sum_m A_im T[m, l]| + sum_{l != j} |A_il M[l, j] + A_ij M[j, l]|,
 
-which costs O(n^3) time and O(n^2 * block) memory for blocks of rows, against
-O(n^4) and O(n^3) for a fold over the dense tensor.
+which costs O(n^3) time and, in the row blocks of core.row_blocks, O(n^2 *
+block) memory, against O(n^4) and O(n^3) for a fold over the dense tensor.
 
 The module also carries the computer-assisted positivity check of the
 row-dominance kernel h_ell on [0, 1] (rigorous slope bound plus a verified
@@ -143,9 +143,8 @@ def bound_Z2(a: np.ndarray, center, params: SpiderwebParams, rho_star: float) ->
     The fold runs over the Hessian's parts, never over the (n, n, n) tensor:
     row i is sum_l |sum_m A_im T[m, l]| + sum_{l != j} |A_il M[l, j] + A_ij M[j, l]|
     (see the module docstring), and the magnitudes of its n^2 entries go into
-    one upward-rounded pairwise sum.  Rows are folded in blocks of at most
-    _CHUNK_ELEMS // n^2 (at least one), in O(n^3) time and O(n^2 * block)
-    memory."""
+    one upward-rounded pairwise sum.  Rows are folded in the row blocks of
+    core.row_blocks, in O(n^3) time and O(n^2 * block) memory."""
     center = require_cone(center)
     _require_rho_star(rho_star)
     a = np.asarray(a, dtype=np.float64)
@@ -167,15 +166,12 @@ def bound_Z2(a: np.ndarray, center, params: SpiderwebParams, rho_star: float) ->
     n = a.shape[0]
     idx = np.arange(n)
     t = INTERVAL.where(np.eye(n, dtype=bool), diag[:, None], t_outer)
-    m_lj = t_mixed[None]
-    m_jl = t_mixed.T[None]
-    block = max(1, core._CHUNK_ELEMS // (n * n))
     totals = np.empty(n)
-    for start in range(0, n, block):
-        rows = Interval.point(a[start:start + block])
-        mags = (rows[:, :, None] * m_lj + rows[:, None, :] * m_jl).mag()
-        mags[:, idx, idx] = intervals.matmul(a[start:start + block], t).mag()
-        totals[start:start + block] = intervals.pairwise_sum(
+    for rows in core.row_blocks(n, n * n):
+        a_rows = Interval.point(a[rows])
+        mags = (a_rows[:, :, None] * t_mixed + a_rows[:, None, :] * t_mixed.T).mag()
+        mags[:, idx, idx] = intervals.matmul(a[rows], t).mag()
+        totals[rows] = intervals.pairwise_sum(
             mags.reshape(mags.shape[0], -1), axis=1, rounder=intervals.up
         )
     _require_finite("Z2", "row totals", totals)

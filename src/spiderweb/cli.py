@@ -34,10 +34,13 @@ def _fmt_opt(x):
 
 
 def _parse_real(s, name):
-    try:
-        return float(s)
-    except (TypeError, ValueError):
-        raise ValueError(f"field {name!r} is not a decimal string: {s!r}") from None
+    """A real written as a JSON string; a JSON number or boolean is refused."""
+    if type(s) is str:
+        try:
+            return float(s)
+        except ValueError:
+            pass
+    raise ValueError(f"field {name!r} is not a decimal string: {s!r}")
 
 
 def _parse_int(v, name):
@@ -151,8 +154,8 @@ def _settings_from_json(raw: dict) -> ContinuationSettings:
     and bisection tolerance that older versions wrote, are ignored."""
     step = raw.get("mass_step_init")
     return ContinuationSettings(
-        mass_step_init=None if step is None else float(step),
-        newton_tol=float(raw.get("newton_tol", 1e-12)),
+        mass_step_init=None if step is None else _parse_real(step, "mass_step_init"),
+        newton_tol=_parse_real(raw.get("newton_tol", "1e-12"), "newton_tol"),
         newton_max_iter=_parse_int(raw.get("newton_max_iter", 50), "newton_max_iter"),
     )
 
@@ -218,8 +221,9 @@ def cmd_certify(args) -> int:
 
 def cmd_scan(args) -> int:
     ells = [int(tok) for tok in args.ells.split(",") if tok.strip()]
-    if not ells:
-        raise ValueError("empty --ells list")
+    if not ells or min(ells) < 2 or args.n_max < 1:
+        raise ValueError(f"scan needs --n-max >= 1 and --ells >= 2, got "
+                         f"{args.n_max} and {args.ells!r}")
     settings = ContinuationSettings(newton_tol=args.tol)
     rows = analysis.scan(
         args.n_max, ells, args.masses,

@@ -44,8 +44,8 @@ __all__ = [
     "require_cone",
 ]
 
-# cap on elements per (n, n, k-chunk) block when summing over the ell axis
-_CHUNK_ELEMS = 1 << 21
+# elements per block of rows in a pair-kernel evaluation (see row_blocks)
+_BLOCK_ELEMS = 1 << 16
 
 
 class OrderingViolated(ValueError):
@@ -170,6 +170,9 @@ class _Float64Kind:
     def where(self, cond, a, b):
         return np.where(cond, self.lift(a), self.lift(b))
 
+    def concat(self, parts):
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
     def cos_angles(self, ell, mult=1):
         return _cos_table(ell, mult)[1]
 
@@ -197,6 +200,12 @@ class _IntervalKind:
         a = self.lift(a)
         b = self.lift(b)
         return Interval._make(np.where(cond, a.lo, b.lo), np.where(cond, a.hi, b.hi))
+
+    def concat(self, parts):
+        if len(parts) == 1:
+            return parts[0]
+        return Interval._make(np.concatenate([p.lo for p in parts]),
+                              np.concatenate([p.hi for p in parts]))
 
     def cos_angles(self, ell, mult=1):
         lo, _, hi = _cos_table(ell, mult)
@@ -258,10 +267,12 @@ def _spoke_distances_sq_h(x, ell, kind):
 # pairwise interaction kernels
 # ---------------------------------------------------------------------------
 
-def _k_chunks(ell, n):
-    step = max(1, _CHUNK_ELEMS // max(1, n * n))
-    for start in range(0, ell, step):
-        yield start, min(ell, start + step)
+def row_blocks(n, row_elems):
+    """Slices cutting n rows of row_elems elements into blocks of at most
+    _BLOCK_ELEMS elements (one row at least): the one memory layout of the
+    pair kernels and of certify's Z2 fold, which compute each row alone."""
+    step = max(1, _BLOCK_ELEMS // max(1, row_elems))
+    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def _spoke_sums(ri, rj, cos, kind, want, self_pairs=None):
@@ -324,40 +335,30 @@ def _pair_sums(radii, ell, kind, want):
     """Spoke-summed pairwise kernels as (n, n) arrays with zero diagonal.
 
     want is a subset of {"force", "jac_diag", "jac_off", "hess_diag",
-    "hess_mixed", "hess_outer"}; see :func:`_spoke_sums`.
+    "hess_mixed", "hess_outer"}; see :func:`_spoke_sums`.  Blocks of target
+    rows (:func:`row_blocks`) hold every source ring and spoke: each (i, j)
+    entry is one pairwise sum over all ell spokes, so the block size changes
+    no float bit (interval ones only within 2^-1020 of zero; see intervals.up).
     """
     r = kind.lift(radii)
     n = r.shape[0]
     eye = np.eye(n, dtype=bool)
-    tables = [kind.cos_angles(ell, mult) for mult in (1, 2, 3)]
-    acc = {}
-    for a, b in _k_chunks(ell, n):
-        cos = [c[a:b][None, None, :] for c in tables]
-        chunk = _spoke_sums(r[:, None, None], r[None, :, None], cos, kind, want,
-                            self_pairs=eye[:, :, None])
-        for name, part in chunk.items():
-            acc[name] = part if name not in acc else acc[name] + part
-
+    cos = [kind.cos_angles(ell, mult)[None, None, :] for mult in (1, 2, 3)]
+    blocks = [
+        _spoke_sums(r[rows, None, None], r[None, :, None], cos, kind, want,
+                    self_pairs=eye[rows, :, None])
+        for rows in row_blocks(n, n * ell)
+    ]
     zero = kind.lift(0.0)
-    return {name: kind.where(eye, zero, val) for name, val in acc.items()}
-
-
-def _check_distinct_positive(r):
-    r = np.asarray(r, dtype=np.float64)
-    if np.any(~np.isfinite(r)) or np.any(r <= 0.0):
-        raise OrderingViolated(f"radii must be finite and positive, got {r}")
-    if np.unique(r).size != r.size:
-        raise CollisionError(f"coincident radii in {r}")
-    return r
+    return {name: kind.where(eye, zero, kind.concat([b[name] for b in blocks]))
+            for name in blocks[0]}
 
 
 def _force_per_mass(radii, masses, m0, ell, kind):
-    """F_i / m_i for every ring, for raw (possibly unsorted) distinct radii.
+    """F_i / m_i for every ring at checked distinct positive radii, any order.
 
     Zero entries in ``masses`` are legal and describe massless probe rings.
     """
-    if not isinstance(radii, Interval):
-        _check_distinct_positive(radii)
     r = kind.lift(radii)
     m = kind.lift(np.asarray(masses, dtype=np.float64))
     z = zeta(ell, kind)
@@ -374,8 +375,6 @@ def _residual_raw(radii, masses, m0, lam, ell, kind):
 
 
 def _jacobian_raw(radii, masses, m0, lam, ell, kind):
-    if not isinstance(radii, Interval):
-        _check_distinct_positive(radii)
     r = kind.lift(radii)
     m = kind.lift(np.asarray(masses, dtype=np.float64))
     n = r.shape[0]
@@ -395,8 +394,6 @@ def _jacobian_raw(radii, masses, m0, lam, ell, kind):
 
 
 def _hessian_raw(radii, masses, m0, ell, kind):
-    if not isinstance(radii, Interval):
-        _check_distinct_positive(radii)
     r = kind.lift(radii)
     m = kind.lift(np.asarray(masses, dtype=np.float64))
     z = zeta(ell, kind)
@@ -453,7 +450,7 @@ def probe_ring_lambda(params: SpiderwebParams, radii, s: float) -> float:
     Only the probe's row is evaluated, in O(n ell).  The massless self term
     leaves the central one, and the dropped self pair is an exact trailing
     zero of each pairwise sum, so this is bitwise the last row of the full
-    kernel whenever that kernel runs in one k-chunk."""
+    kernel."""
     radii = require_cone(radii)
     s = float(s)
     if not np.isfinite(s) or s <= 0.0:

@@ -151,7 +151,7 @@ def test_Z2_blocked_fold_matches_one_pass(monkeypatch):
     one_pass = cz.bound_Z2(a, radii, params, 1e-6)
     # blocks of 2, 1 and 1 (the floor) rows of the 5
     for elems in (2 * 25 + 7, 25, 3):
-        monkeypatch.setattr(core, "_CHUNK_ELEMS", elems)
+        monkeypatch.setattr(core, "_BLOCK_ELEMS", elems)
         blocked = cz.bound_Z2(a, radii, params, 1e-6)
         assert blocked == pytest.approx(one_pass, rel=1e-12, abs=0.0)
         assert blocked == pytest.approx(_dense_Z2_oracle(a, radii, params, 1e-6), rel=1e-12)

@@ -263,6 +263,42 @@ def test_document_integers_must_be_json_integers(tmp_path, capsys, path, value):
     assert json.loads(capsys.readouterr().err)["exit_code"] == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("path,value", [
+    (("params", "masses", 0), True),
+    (("params", "m0"), True),
+    (("params", "m0"), 0.5),
+    (("provenance", "settings", "newton_tol"), True),
+    (("provenance", "settings", "mass_step_init"), True),
+    (("residual_norm",), True),
+], ids=["mass-bool", "m0-bool", "m0-number", "tol-bool", "step-bool", "residual-bool"])
+def test_document_reals_must_be_json_strings(tmp_path, capsys, path, value):
+    # Python reads true as 1.0; every document writes its reals as strings
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--n", 3, "--ell", 6, "--masses", "equal:1",
+                "--out", out]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    *parents, key = path
+    node = doc
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    text = emit_document(doc)
+    with pytest.raises(ValueError, match="not a decimal string"):
+        parse_document(text)
+    out.write_text(text)
+    capsys.readouterr()
+    assert run(["certify", "--input", out]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["exit_code"] == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("n_max,ells", [(0, "2,4"), (-1, "4"), (2, "1"), (2, "4,1"), (2, ",")])
+def test_scan_rejects_invalid_arguments_before_any_work(tmp_path, capsys, n_max, ells):
+    out = tmp_path / "scan.csv"
+    assert run(["scan", "--n-max", n_max, "--ells", ells, "--out", out]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["exit_code"] == EXIT_VALIDATION
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rho_star", ["nan", "inf", "0"])
 def test_certify_rejects_bad_rho_star(tmp_path, capsys, rho_star):
     out = tmp_path / "sol.json"

@@ -503,7 +503,6 @@ def test_probe_lambda_is_bitwise_the_full_kernel_row():
     for _ in range(150):
         n = int(rng.integers(1, 41))
         ell = int(rng.integers(2, 81))
-        assert (n + 1) ** 2 * ell <= core._CHUNK_ELEMS  # one k-chunk
         r = np.cumsum(rng.uniform(0.05, 1.0, size=n)) + rng.uniform(0.1, 2.0)
         m = rng.uniform(0.1, 3.0, size=n)
         m0 = float(rng.uniform(0.0, 2.0)) if rng.random() < 0.5 else 0.0
@@ -516,13 +515,49 @@ def test_probe_lambda_is_bitwise_the_full_kernel_row():
 
 def test_probe_lambda_matches_multi_chunk_kernel():
     n, ell = 150, 200
-    assert (n + 1) ** 2 * ell > core._CHUNK_ELEMS  # the oracle runs in chunks
+    assert len(core.row_blocks(n + 1, (n + 1) * ell)) > 1  # the oracle runs in blocks
     r = np.linspace(1.0, 4.0, n)
     p = SpiderwebParams(n, ell, 0.5, np.linspace(2.0, 0.5, n), -1.0)
     for s in (0.5, 2.0 + 1e-3, 6.0):
-        assert core.probe_ring_lambda(p, r, s) == pytest.approx(
-            _probe_oracle(p, r, s), rel=1e-13
-        )
+        assert core.probe_ring_lambda(p, r, s) == _probe_oracle(p, r, s)
+
+
+# ---------------------------------------------------------------------------
+# row blocks: the layout of the pair kernels bounds memory, not results
+# ---------------------------------------------------------------------------
+
+PAIR_KERNELS = ("force", "jac_diag", "jac_off", "hess_diag", "hess_mixed", "hess_outer")
+
+
+def _kernels(params, radii, kind):
+    sums = core._pair_sums(radii, params.ell, kind, set(PAIR_KERNELS))
+    return [sums[name] for name in PAIR_KERNELS] + [
+        core.residual(params, radii, kind),
+        core.jacobian(params, radii, kind),
+        *core.hessian_parts(params, radii, kind),
+    ]
+
+
+def _endpoints(x):
+    return (x.lo, x.hi) if isinstance(x, Interval) else (x,)
+
+
+def test_block_size_changes_no_bit_of_the_kernels(monkeypatch):
+    rng = np.random.default_rng(RNG_SEED + 30)
+    for n, ell in ((1, 3), (2, 2), (5, 7), (12, 9)):
+        radii = np.cumsum(rng.uniform(0.3, 1.2, size=n)) + 0.2
+        params = SpiderwebParams(n, ell, 0.7, rng.uniform(0.2, 3.0, size=n), -1.3)
+        for radii_k, kind in ((radii, FLOAT64), (Interval.point(radii), INTERVAL),
+                              (Interval(radii - 1e-7, radii + 1e-7), INTERVAL)):
+            whole = _kernels(params, radii_k, kind)
+            # one row, two rows and every row per block
+            for rows in (1, 2, n):
+                monkeypatch.setattr(core, "_BLOCK_ELEMS", rows * n * ell)
+                assert len(core.row_blocks(n, n * ell)) == -(-n // rows)
+                for blocked, one in zip(_kernels(params, radii_k, kind), whole, strict=True):
+                    for a, b in zip(_endpoints(blocked), _endpoints(one), strict=True):
+                        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            monkeypatch.undo()
 
 
 def test_probe_lambda_rejects_non_finite_radius():
@@ -556,6 +591,17 @@ def test_float_results_inside_interval_enclosures():
             core.dominance_row_sums(params, radii),
             core.dominance_row_sums(params, box, INTERVAL),
         )
+    # a size at which the pair kernels run in several row blocks
+    n, ell = 40, 120
+    params = SpiderwebParams(n, ell, 0.4, rng.uniform(0.2, 3.0, size=n), -1.0)
+    radii = np.cumsum(rng.uniform(0.3, 1.2, size=n)) + 0.2
+    assert len(core.row_blocks(n, n * ell)) > 2
+    box = Interval.point(radii)
+    _assert_inside(core.residual(params, radii), core.residual(params, box, INTERVAL))
+    _assert_inside(core.jacobian(params, radii), core.jacobian(params, box, INTERVAL))
+    for f, iv in zip(core.hessian_parts(params, radii),
+                     core.hessian_parts(params, box, INTERVAL), strict=True):
+        _assert_inside(f, iv)
     for ell in (2, 7, 31):
         _assert_inside(core.zeta(ell), core.zeta(ell, INTERVAL))
         xs = np.linspace(0.05, 0.9, 7)
