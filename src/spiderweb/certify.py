@@ -105,20 +105,24 @@ def _require_finite(bound: str, what: str, *arrays):
         raise CertificationFailed(NON_FINITE_BOUND, f"{bound}: the {what} is not finite")
 
 
-def bound_Y0(a: np.ndarray, center, params: SpiderwebParams) -> float:
-    """Rigorous upper bound of ||A f(center)||_inf."""
+def bound_Y0(a: np.ndarray, center, params: SpiderwebParams, *, f=None) -> float:
+    """Rigorous upper bound of ||A f(center)||_inf; ``f`` may hold the
+    interval residual at the point center already."""
     center = require_cone(center)
-    f = core.residual(params, Interval.point(center), INTERVAL)
+    if f is None:
+        f = core.residual(params, Interval.point(center), INTERVAL)
     _require_finite("Y0", "residual enclosure", f.lo, f.hi)
     y0 = intervals.vector_sup_norm(intervals.matmul(a, f))
     _require_finite("Y0", "bound", y0)
     return y0
 
 
-def bound_Z0(a: np.ndarray, center, params: SpiderwebParams) -> float:
-    """Rigorous upper bound of ||Id - A Df(center)||_inf."""
+def bound_Z0(a: np.ndarray, center, params: SpiderwebParams, *, jac=None) -> float:
+    """Rigorous upper bound of ||Id - A Df(center)||_inf; ``jac`` may hold
+    the interval Jacobian at the point center already."""
     center = require_cone(center)
-    jac = core.jacobian(params, Interval.point(center), INTERVAL)
+    if jac is None:
+        jac = core.jacobian(params, Interval.point(center), INTERVAL)
     _require_finite("Z0", "Jacobian enclosure", jac.lo, jac.hi)
     eye = Interval.point(np.eye(params.n))
     z0 = intervals.matrix_sup_norm(eye - intervals.matmul(a, jac))
@@ -250,8 +254,10 @@ def certify(config: Configuration, rho_star_init: float | None = None) -> Certif
         raise CertificationFailed(
             SINGULAR_JACOBIAN, f"float Jacobian not invertible: {exc}"
         ) from exc
-    y0 = bound_Y0(a, center, params)
-    z0 = bound_Z0(a, center, params)
+    # one interval pass over the pair kernels at the center feeds Y0 and Z0
+    f, df = core.residual_and_jacobian(params, Interval.point(center), INTERVAL)
+    y0 = bound_Y0(a, center, params, f=f)
+    z0 = bound_Z0(a, center, params, jac=df)
     if z0 >= 1.0:
         raise CertificationFailed(
             Z0_TOO_LARGE, f"Z0 = {z0:.6g} >= 1 at the given center", Z0=z0

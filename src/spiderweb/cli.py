@@ -9,6 +9,7 @@ failure, 4 certification failure.  Errors are mirrored as JSON on stderr.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import sys
@@ -27,6 +28,15 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_CERTIFICATION = 4
+
+# glibc mallopt parameters, and values well above the largest pair-kernel
+# block array (core._BLOCK_ELEMS * 8 B = 512 KiB): after the first such array
+# is freed, glibc's dynamic thresholds settle near 512 KiB and 1 MiB, so each
+# block's temporaries would go back to the OS and fault in afresh.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 4 << 20
+_TRIM_THRESHOLD = 8 << 20
 
 
 def _fmt_opt(x):
@@ -125,6 +135,8 @@ def parse_document(text: str):
     if radii.size != params.n:
         raise ValueError(f"document has {radii.size} radii but n = {params.n}")
     residual_norm = _parse_real(doc.get("residual_norm"), "residual_norm")
+    if not (math.isfinite(residual_norm) and residual_norm >= 0.0):
+        raise ValueError(f"residual_norm must be finite and >= 0, got {residual_norm}")
     cert = None
     craw = doc.get("certificate")
     if craw is not None:
@@ -347,7 +359,25 @@ def _fail(code: int, exc: BaseException) -> int:
     return code
 
 
+def _keep_block_temporaries_in_heap() -> None:
+    """Pin glibc's mmap and trim thresholds so freed kernel temporaries stay
+    in the heap.  A program-wide allocator policy, so only programs set it
+    (importing the library does not).  A no-op off glibc; never raises, and
+    a second call changes nothing."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # glibc only: the parameter numbers are its own
+        mallopt = libc.mallopt
+    except (OSError, TypeError, AttributeError):  # no C library, glibc or mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _keep_block_temporaries_in_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

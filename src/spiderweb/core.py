@@ -35,6 +35,7 @@ __all__ = [
     "zeta",
     "residual",
     "jacobian",
+    "residual_and_jacobian",
     "hessian_parts",
     "lambda_values",
     "probe_ring_lambda",
@@ -294,24 +295,28 @@ def _spoke_sums(ri, rj, cos, kind, want, self_pairs=None):
     s4 = kind.square(s2)
 
     out = {}
+
+    def add(name, block):  # summed at once: one kernel's block is live at a time
+        out[name] = kind.sum(block, axis=-1)
+
     if "force" in want:
         p3 = s * s2
-        out["force"] = (ri - rj * c1) / p3
+        add("force", (ri - rj * c1) / p3)
     if "jac_diag" in want or "jac_off" in want:
         p5 = s * s4
         if "jac_diag" in want:
             num = 4.0 * ri2 + rj2 - 8.0 * (rirj * c1) + 3.0 * (rj2 * c2)
-            out["jac_diag"] = num / p5
+            add("jac_diag", num / p5)
         if "jac_off" in want:
             num = rirj * (7.0 + c2) - 4.0 * ((ri2 + rj2) * c1)
-            out["jac_off"] = num / p5
+            add("jac_off", num / p5)
     if not want.isdisjoint({"hess_diag", "hess_mixed", "hess_outer"}):
         p7 = s * s2 * s4
         if "hess_diag" in want:
             num = (ri - rj * c1) * (
                 4.0 * ri2 - rj2 - 8.0 * (rirj * c1) + 5.0 * (rj2 * c2)
             )
-            out["hess_diag"] = num / p7
+            add("hess_diag", num / p7)
         if "hess_mixed" in want:
             num = (
                 (ri * (8.0 * ri2 + 23.0 * rj2)) * c1
@@ -319,7 +324,7 @@ def _spoke_sums(ri, rj, cos, kind, want, self_pairs=None):
                 - (rj * (4.0 * ri2 + 6.0 * rj2)) * c2
                 + (ri * rj2) * c3
             )
-            out["hess_mixed"] = num / p7
+            add("hess_mixed", num / p7)
         if "hess_outer" in want:
             num = (
                 (rj * (8.0 * rj2 + 23.0 * ri2)) * c1
@@ -327,8 +332,8 @@ def _spoke_sums(ri, rj, cos, kind, want, self_pairs=None):
                 - (ri * (4.0 * rj2 + 6.0 * ri2)) * c2
                 + (ri2 * rj) * c3
             )
-            out["hess_outer"] = num / p7
-    return {name: kind.sum(block, axis=-1) for name, block in out.items()}
+            add("hess_outer", num / p7)
+    return out
 
 
 def _pair_sums(radii, ell, kind, want):
@@ -354,34 +359,39 @@ def _pair_sums(radii, ell, kind, want):
             for name in blocks[0]}
 
 
-def _force_per_mass(radii, masses, m0, ell, kind):
+def _force_per_mass(radii, masses, m0, ell, kind, sums=None):
     """F_i / m_i for every ring at checked distinct positive radii, any order.
 
     Zero entries in ``masses`` are legal and describe massless probe rings.
+    ``sums`` may hold the "force" pair sums of these radii already.
     """
     r = kind.lift(radii)
     m = kind.lift(np.asarray(masses, dtype=np.float64))
     z = zeta(ell, kind)
     sqrt8 = kind.sqrt(kind.lift(8.0))
     r2 = kind.square(r)
-    sums = _pair_sums(radii, ell, kind, {"force"})
+    if sums is None:
+        sums = _pair_sums(radii, ell, kind, {"force"})
     inter = kind.sum(sums["force"] * m[None, :], axis=1)
     return -(((m * z) / sqrt8 + m0) / r2) - inter
 
 
-def _residual_raw(radii, masses, m0, lam, ell, kind):
+def _residual_raw(radii, masses, m0, lam, ell, kind, *, sums=None):
     r = kind.lift(radii)
-    return lam * r - _force_per_mass(radii, masses, m0, ell, kind)
+    return lam * r - _force_per_mass(radii, masses, m0, ell, kind, sums)
 
 
-def _jacobian_raw(radii, masses, m0, lam, ell, kind):
+def _jacobian_raw(radii, masses, m0, lam, ell, kind, *, sums=None):
+    """Jacobian of the residual; ``sums`` may hold the "jac_diag" and
+    "jac_off" pair sums of these radii already."""
     r = kind.lift(radii)
     m = kind.lift(np.asarray(masses, dtype=np.float64))
     n = r.shape[0]
     z = zeta(ell, kind)
     sqrt2 = kind.sqrt(kind.lift(2.0))
     r3 = r * kind.square(r)
-    sums = _pair_sums(radii, ell, kind, {"jac_diag", "jac_off"})
+    if sums is None:
+        sums = _pair_sums(radii, ell, kind, {"jac_diag", "jac_off"})
     diag = (
         lam
         - (m * z) / (sqrt2 * r3)
@@ -424,6 +434,15 @@ def jacobian(params: SpiderwebParams, radii, kind=FLOAT64):
     """Jacobian D_r f in the spoke-summed trigonometric form."""
     radii = _validate_radii(radii)
     return _jacobian_raw(radii, params.masses, params.m0, params.lam, params.ell, kind)
+
+
+def residual_and_jacobian(params: SpiderwebParams, radii, kind=FLOAT64):
+    """(f, D_r f) at the same radii from one pass over the pair kernels,
+    each equal to what :func:`residual` and :func:`jacobian` return."""
+    radii = _validate_radii(radii)
+    sums = _pair_sums(radii, params.ell, kind, {"force", "jac_diag", "jac_off"})
+    args = (radii, params.masses, params.m0, params.lam, params.ell, kind)
+    return _residual_raw(*args, sums=sums), _jacobian_raw(*args, sums=sums)
 
 
 def hessian_parts(params: SpiderwebParams, radii, kind=FLOAT64):

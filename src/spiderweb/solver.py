@@ -191,7 +191,12 @@ def insert_zero_mass_ring(config: Configuration, gap: int) -> np.ndarray:
     n = params.n
     if not 0 <= gap <= n:
         raise ValueError(f"gap must be in 0..{n}, got {gap}")
-    norm = _norm_inf(core.residual(params, r, FLOAT64))
+    return _insert_ring(params, r, gap, _norm_inf(core.residual(params, r, FLOAT64)))
+
+
+def _insert_ring(params: SpiderwebParams, r, gap: int, norm: float) -> np.ndarray:
+    """insert_zero_mass_ring on cone radii r whose residual norm is ``norm``."""
+    n = params.n
     if norm > 1e-8:
         raise SolverError(
             f"insertion requires a solved configuration, |f| = {norm:.3e}"
@@ -269,6 +274,18 @@ def continue_mass(
         raise OrderingViolated(
             f"expected {params.n + 1} radii (base rings plus one), got {r.shape}"
         )
+    norm0 = _norm_inf(core._residual_raw(
+        r, np.append(params.masses, 0.0), params.m0, params.lam, params.ell, FLOAT64
+    ))
+    if norm0 > 1e-8:
+        raise SolverError(
+            f"input radii do not solve the zero-mass system, |f| = {norm0:.3e}"
+        )
+    return _continue_ring(params, r, target_mass, settings)
+
+
+def _continue_ring(params: SpiderwebParams, r, target_mass, settings) -> Configuration:
+    """continue_mass on cone radii r that solve the zero-mass system."""
     # the validated constructor rejects a target mass that is not finite and > 0
     target_mass = float(target_mass)
     extended = SpiderwebParams(
@@ -278,14 +295,6 @@ def continue_mass(
 
     def masses_at(m):
         return np.append(params.masses, m)
-
-    norm0 = _norm_inf(
-        core._residual_raw(r, masses_at(0.0), params.m0, params.lam, params.ell, FLOAT64)
-    )
-    if norm0 > 1e-8:
-        raise SolverError(
-            f"input radii do not solve the zero-mass system, |f| = {norm0:.3e}"
-        )
 
     step_init = settings.mass_step_init or target_mass
     step = step_init
@@ -319,9 +328,13 @@ def build_configuration(
     base = SpiderwebParams(1, params.ell, params.m0, params.masses[:1], params.lam)
     config = solve_single_ring(base)
     for k in range(2, params.n + 1):
+        # config is the solver's own output and carries |f| of its radii; a
+        # massless ring bisected into a solved system solves the zero-mass
+        # one, so neither residual is evaluated again
         try:
-            extended = insert_zero_mass_ring(config, gap=k - 1)
-            config = continue_mass(
+            extended = _insert_ring(config.params, config.radii, k - 1,
+                                    config.residual_norm)
+            config = _continue_ring(
                 config.params, extended, params.masses[k - 1], settings
             )
         except SolverError as exc:

@@ -374,16 +374,64 @@ def test_Z0_and_Y0_fail_closed_on_nan_enclosures(monkeypatch):
     a = np.linalg.inv(core.jacobian(c.params, c.radii))
     jacobian, _ = _poison(core.jacobian, (2, 0))
     monkeypatch.setattr(core, "jacobian", jacobian)
-    for run in (lambda: cz.bound_Z0(a, c.radii, c.params), lambda: cz.certify(c)):
-        with pytest.raises(cz.CertificationFailed) as excinfo:
-            run()
-        assert excinfo.value.reason == cz.NON_FINITE_BOUND
+    with pytest.raises(cz.CertificationFailed) as excinfo:
+        cz.bound_Z0(a, c.radii, c.params)
+    assert excinfo.value.reason == cz.NON_FINITE_BOUND
     monkeypatch.undo()
     residual, _ = _poison(core.residual, (0,))
     monkeypatch.setattr(core, "residual", residual)
     with pytest.raises(cz.CertificationFailed) as excinfo:
         cz.bound_Y0(a, c.radii, c.params)
     assert excinfo.value.reason == cz.NON_FINITE_BOUND
+    monkeypatch.undo()
+    # certify takes both enclosures from one shared pass at the center
+    for part, index in ((1, (2, 0)), (0, (0,))):
+        shared, calls = _poison(core.residual_and_jacobian, index, part)
+        monkeypatch.setattr(core, "residual_and_jacobian", shared)
+        with pytest.raises(cz.CertificationFailed) as excinfo:
+            cz.certify(c)
+        assert excinfo.value.reason == cz.NON_FINITE_BOUND
+        assert len(calls) == 1
+        monkeypatch.undo()
+
+
+def test_certify_makes_one_interval_pass_at_the_center_and_one_per_rho_star(monkeypatch):
+    c = solved(4, 8, masses=[1.0, 0.5, 2.0, 1.5])
+    real = core._pair_sums
+    wants = []
+
+    def counting(radii, ell, kind, want):
+        if kind.is_interval:
+            wants.append(frozenset(want))
+        return real(radii, ell, kind, want)
+
+    monkeypatch.setattr(core, "_pair_sums", counting)
+    cert = cz.certify(c)
+    assert cert.rho_star == cz.default_rho_star(c.radii)  # one rho* tried
+    assert wants == [{"force", "jac_diag", "jac_off"},
+                     {"hess_diag", "hess_mixed", "hess_outer"}]
+
+
+def test_shared_pass_equals_separate_enclosures_bitwise():
+    c = solved(5, 12, m0=0.4, masses=[1.0, 0.3, 2.0, 1.5, 0.8])
+    point = Interval.point(c.radii)
+    box = Interval(c.radii * (1 - 1e-9), c.radii * (1 + 1e-9))
+    for radii, kind in ((c.radii, core.FLOAT64), (point, core.INTERVAL),
+                        (box, core.INTERVAL)):
+        f, df = core.residual_and_jacobian(c.params, radii, kind)
+        f_alone = core.residual(c.params, radii, kind)
+        df_alone = core.jacobian(c.params, radii, kind)
+        if kind.is_interval:
+            pairs = [(f.lo, f_alone.lo), (f.hi, f_alone.hi),
+                     (df.lo, df_alone.lo), (df.hi, df_alone.hi)]
+        else:
+            pairs = [(f, f_alone), (df, df_alone)]
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes()
+    a = np.linalg.inv(core.jacobian(c.params, c.radii))
+    f, df = core.residual_and_jacobian(c.params, point, core.INTERVAL)
+    assert cz.bound_Y0(a, c.radii, c.params, f=f) == cz.bound_Y0(a, c.radii, c.params)
+    assert cz.bound_Z0(a, c.radii, c.params, jac=df) == cz.bound_Z0(a, c.radii, c.params)
 
 
 def test_Z0_fails_closed_on_overflow():

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, document round trips, SVG and CSV."""
 
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -365,3 +366,109 @@ def test_missing_provenance_means_default_settings(tmp_path):
     assert parse_document(emit_document(doc))[4] == ContinuationSettings()
     del doc["provenance"]
     assert parse_document(emit_document(doc))[4] == ContinuationSettings()
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf", "-0.5e-300"])
+def test_document_residual_norm_must_be_finite_and_nonnegative(tmp_path, capsys, value):
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--n", 3, "--ell", 6, "--masses", "equal:1",
+                "--out", out]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    doc["residual_norm"] = value
+    text = emit_document(doc)
+    with pytest.raises(ValueError, match="residual_norm must be finite"):
+        parse_document(text)
+    out.write_text(text)
+    capsys.readouterr()
+    assert run(["certify", "--input", out]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["exit_code"] == EXIT_VALIDATION
+    assert out.read_text() == text  # nothing written back
+
+
+class _Libc:
+    """Stand-in for the C library: glibc's version symbol and a recording
+    mallopt, either of which can be missing."""
+
+    def __init__(self, glibc=True, has_mallopt=True):
+        self.calls = []
+        if glibc:
+            self.gnu_get_libc_version = lambda: b"2.36"
+        if has_mallopt:
+            def mallopt(param, value):
+                self.calls.append((param, value))
+                return 1
+            self.mallopt = mallopt
+
+
+def test_heap_policy_pins_both_glibc_thresholds_and_repeats_harmlessly(monkeypatch):
+    libc = _Libc()
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    cli._keep_block_temporaries_in_heap()
+    pinned = [(cli._M_MMAP_THRESHOLD, cli._MMAP_THRESHOLD),
+              (cli._M_TRIM_THRESHOLD, cli._TRIM_THRESHOLD)]
+    assert libc.calls == pinned
+    cli._keep_block_temporaries_in_heap()
+    assert libc.calls == 2 * pinned
+    # both sit well above the largest pair-kernel block array
+    assert cli._MMAP_THRESHOLD >= 4 * core._BLOCK_ELEMS * 8
+    assert cli._TRIM_THRESHOLD >= cli._MMAP_THRESHOLD
+
+
+@pytest.mark.parametrize("libc", [None, _Libc(has_mallopt=False), _Libc(glibc=False)],
+                         ids=["no-libc", "no-mallopt", "not-glibc"])
+def test_heap_policy_does_nothing_without_glibc_mallopt(tmp_path, monkeypatch, libc):
+    def cdll(name):
+        if libc is None:
+            raise OSError("no C library")
+        return libc
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    cli._keep_block_temporaries_in_heap()
+    assert libc is None or libc.calls == []
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--n", 2, "--ell", 4, "--masses", "equal:1", "--out", out]) == EXIT_OK
+    assert run(["solve", "--n", 2, "--ell", 4, "--masses", "1,0", "--out", out]) == EXIT_VALIDATION
+
+
+def test_main_applies_the_heap_policy_before_parsing(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "_keep_block_temporaries_in_heap", lambda: calls.append(1))
+    with pytest.raises(SystemExit):
+        main(["no-such-command"])
+    assert calls == [1]
+
+
+def test_real_heap_policy_twice_then_solve_and_certify(tmp_path):
+    cli._keep_block_temporaries_in_heap()
+    cli._keep_block_temporaries_in_heap()
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--n", 3, "--ell", 6, "--masses", "equal:1", "--out", out]) == EXIT_OK
+    assert run(["certify", "--input", out]) == EXIT_OK
+
+
+_SOLVE_CERTIFY = """
+import sys
+from spiderweb import cli
+if sys.argv[1] == "off":
+    cli._keep_block_temporaries_in_heap = lambda: None
+for n, ell, masses in ((3, 6, "equal:1"), (10, 20, "inv")):
+    path = f"{sys.argv[2]}/sol_{n}_{ell}.json"
+    code = cli.main(["solve", "--n", str(n), "--ell", str(ell), "--masses", masses,
+                     "--out", path])
+    assert code == 0 and cli.main(["certify", "--input", path]) == 0
+"""
+
+
+def test_documents_are_byte_identical_with_heap_policy_on_and_off(tmp_path):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    docs = {}
+    for mode in ("on", "off"):
+        (tmp_path / mode).mkdir()
+        proc = subprocess.run([sys.executable, "-c", _SOLVE_CERTIFY, mode, str(tmp_path / mode)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        docs[mode] = {p.name: p.read_bytes() for p in (tmp_path / mode).iterdir()}
+    assert sorted(docs["on"]) == ["sol_10_20.json", "sol_3_6.json"]
+    assert docs["on"] == docs["off"]

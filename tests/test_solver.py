@@ -175,6 +175,15 @@ def test_insertion_rejects_non_central_input():
         insert_zero_mass_ring(bogus, gap=2)
 
 
+def test_public_insertion_still_checks_a_solved_input():
+    c = build_configuration(SpiderwebParams(3, 6, 0.0, np.ones(3), -1.0))
+    # a claimed residual norm is not trusted: the radii are evaluated again
+    lying = core.Configuration(c.params, c.radii * 1.01, 0.0)
+    with pytest.raises(SolverError, match="solved configuration"):
+        insert_zero_mass_ring(lying, gap=3)
+    assert insert_zero_mass_ring(c, gap=3).shape == (4,)
+
+
 # ---------------------------------------------------------------------------
 # continuation
 # ---------------------------------------------------------------------------
@@ -236,6 +245,37 @@ def test_continuation_stall_carries_last_good_mass():
 # ---------------------------------------------------------------------------
 # full builds
 # ---------------------------------------------------------------------------
+
+def test_build_skips_residual_rechecks_and_keeps_radii(monkeypatch):
+    """The build reuses the residual norms it holds instead of evaluating
+    them again in the public insertion and continuation steps; the radii
+    are those of the public steps bit for bit."""
+    params = SpiderwebParams(10, 20, 0.3, np.linspace(1.0, 2.0, 10), -1.0)
+    settings = ContinuationSettings()
+    real = core._residual_raw
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_residual_raw", counting)
+    built = build_configuration(params, settings)
+    n_build = len(calls)
+
+    calls.clear()
+    config = solve_single_ring(
+        SpiderwebParams(1, params.ell, params.m0, params.masses[:1], params.lam))
+    for k in range(2, params.n + 1):
+        extended = insert_zero_mass_ring(config, gap=k - 1)
+        config = continue_mass(config.params, extended, params.masses[k - 1], settings)
+    r, norm, _, _ = solver._newton_raw(config.radii, params.masses, params.m0,
+                                       params.lam, params.ell, settings)
+    # two checks per added ring: insertion and the zero-mass system
+    assert n_build == len(calls) - 2 * (params.n - 1)
+    assert built.radii.tobytes() == r.tobytes()
+    assert built.residual_norm == norm
+
 
 def test_build_n1_equals_single_ring():
     p = params1(ell=7, m0=0.4, m1=2.0, lam=-0.7)
