@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Paper-scale spot check: build and rigorously certify the n = 100,
-ell = 200 equal-mass configuration.  One run on a 2-core Intel Xeon with
-OPENBLAS_NUM_THREADS=1: build 14.1 s, certify 1.5 s (|f| = 1.37e-11,
-Y0 = 1.89e-12, Z0 = 3.73e-09, Z2 = 6.69e+04, rho0 = 1.89e-12); without the
-CLI's heap policy the build took 27.7 s on the same machine.
+ell = 200 equal-mass configuration.  Three runs on a 2-core Intel Xeon with
+OPENBLAS_NUM_THREADS=1: build 12.0-14.7 s, certify 1.5 s (|f| = 1.37e-11,
+Y0 = 1.89e-12, Z0 = 3.71e-09, Z2 = 6.69e+04, rho0 = 1.89e-12).  Inserting
+each ring by bisection instead of safeguarded Newton, the build took
+15.5-16.6 s there, and 27.7 s without the CLI's heap policy as well.
 
 The Newton tolerance sits above the float evaluation floor of |f|_inf at
 this size (~1e-11); the certificate is rigorous regardless and simply

@@ -462,24 +462,33 @@ def lambda_values(params: SpiderwebParams, radii, kind=FLOAT64):
     return _force_per_mass(radii, params.masses, params.m0, params.ell, kind) / r
 
 
-def probe_ring_lambda(params: SpiderwebParams, radii, s: float) -> float:
+def probe_ring_lambda(params: SpiderwebParams, radii, s: float, *, slope=False):
     """lambda of a massless probe ring at radius s inserted into an existing
     system; s may sit anywhere strictly between, below or above the radii.
 
     Only the probe's row is evaluated, in O(n ell).  The massless self term
     leaves the central one, and the dropped self pair is an exact trailing
     zero of each pairwise sum, so this is bitwise the last row of the full
-    kernel."""
+    kernel.  With ``slope=True`` it returns (lambda, d lambda / ds) from the
+    same pass: dF/ds is the Jacobian diagonal's force part at zero self mass,
+    and lambda itself is bitwise the value without the slope."""
     radii = require_cone(radii)
     s = float(s)
     if not np.isfinite(s) or s <= 0.0:
         raise OrderingViolated(f"probe radius must be finite and positive, got {s}")
     if np.any(radii == s):
         raise CollisionError(f"probe radius {s} coincides with an existing ring")
-    cos = (FLOAT64.cos_angles(params.ell), None, None)
-    row = _spoke_sums(s, radii[:, None], cos, FLOAT64, {"force"})["force"]
-    force = -(params.m0 / FLOAT64.square(s)) - FLOAT64.sum(row * params.masses, axis=0)
-    return float(force / s)
+    m = params.masses
+    cos = (FLOAT64.cos_angles(params.ell), FLOAT64.cos_angles(params.ell, 2), None)
+    want = {"force", "jac_diag"} if slope else {"force"}
+    sums = _spoke_sums(s, radii[:, None], cos, FLOAT64, want)
+    force = -(params.m0 / FLOAT64.square(s)) - FLOAT64.sum(sums["force"] * m, axis=0)
+    lam = float(force / s)
+    if not slope:
+        return lam
+    s3 = s * FLOAT64.square(s)
+    dforce = (2.0 * params.m0) / s3 + 0.5 * FLOAT64.sum(sums["jac_diag"] * m, axis=0)
+    return lam, float((dforce - lam) / s)
 
 
 def dominance_row_sums(params: SpiderwebParams, radii, kind=FLOAT64):

@@ -2,9 +2,9 @@
 
 The build follows an induction on the ring count: the single-ring system has
 a closed-form radius, a new massless ring has a unique equilibrium radius in
-every gap (found by bisection on the strictly monotone probe lambda), and the
-new ring's mass is then continued from zero to its target with damped Newton
-correction at each continuation step.
+every gap (found by safeguarded Newton on the strictly monotone probe lambda,
+inside a sign bracket), and the new ring's mass is then continued from zero
+to its target with damped Newton correction at each continuation step.
 """
 
 from __future__ import annotations
@@ -38,11 +38,15 @@ __all__ = [
 
 _ALPHA_MIN = 2.0**-10
 _BRACKET_DOUBLINGS = 60
-# bisection stops at this width relative to the outermost radius
-_BISECT_REL_TOL = 1e-13
+# ring insertion stops at this width relative to the outermost radius, and
+# gives up after twice the bisections from a 2^60 r_n bracket down to it
+_INSERT_REL_TOL = 1e-13
+_INSERT_MAX_STEPS = 200
 # mass-step factors after a failed and after a fast (<= 3 iterations) solve
 _STEP_SHRINK = 0.5
 _STEP_GROW = 2.0
+# mass steps, failed ones included, that one ring's continuation may take
+_MASS_STEPS_PER_RING = 1000
 # stagnation escape: when the Newton step is below this relative size the
 # radii are converged to rounding level and the residual is pinned at its
 # float evaluation floor, so accept within a small grace factor of the tol
@@ -88,8 +92,10 @@ class ContinuationSettings:
     def __post_init__(self):
         if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
             raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol}")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be at least 1")
+        cap = self.newton_max_iter
+        is_int = isinstance(cap, (int, np.integer)) and not isinstance(cap, (bool, np.bool_))
+        if not (is_int and cap >= 1):
+            raise ValueError(f"newton_max_iter must be an integer >= 1, got {cap!r}")
         step = self.mass_step_init
         if step is not None and not (np.isfinite(step) and step > 0):
             raise ValueError(f"mass_step_init must be finite and positive, got {step}")
@@ -196,16 +202,22 @@ def insert_zero_mass_ring(config: Configuration, gap: int) -> np.ndarray:
 
 def _insert_ring(params: SpiderwebParams, r, gap: int, norm: float) -> np.ndarray:
     """insert_zero_mass_ring on cone radii r whose residual norm is ``norm``."""
-    n = params.n
     if norm > 1e-8:
         raise SolverError(
             f"insertion requires a solved configuration, |f| = {norm:.3e}"
         )
+    lo, hi = _sign_bracket(params, r, gap)
+    return np.insert(r, gap, _safeguarded_newton(params, r, lo, hi))
+
+
+def _sign_bracket(params: SpiderwebParams, r, gap: int):
+    """(lo, hi) inside the gap with the probe lambda below lam at lo and
+    above it at hi."""
 
     def g(s):
         return core.probe_ring_lambda(params, r, s) - params.lam
 
-    if gap == n:
+    if gap == params.n:
         lo_edge = r[-1]
         hi = 2.0 * r[-1]
         for _ in range(_BRACKET_DOUBLINGS):
@@ -222,17 +234,44 @@ def _insert_ring(params: SpiderwebParams, r, gap: int, norm: float) -> np.ndarra
         hi = _push_to_sign(g, hi_edge, lo_edge, want_negative=False)
         if not lo < hi:
             raise BracketError(f"no sign change found inside gap {gap}")
-    tol = _BISECT_REL_TOL * r[-1]
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    return lo, hi
+
+
+def _safeguarded_newton(params: SpiderwebParams, r, lo, hi) -> float:
+    """Root of the probe lambda minus lam in the sign bracket (lo, hi).
+
+    Newton steps on the probe's own slope, each taken only when it lands
+    strictly inside the bracket and at most half as long as the previous
+    step; otherwise the bracket is bisected (Numerical Recipes, section 9.4,
+    rtsafe).  Every evaluation narrows the bracket, so a wrong slope costs
+    steps but never leaves it.  Stops when the Newton correction rounds
+    away, or when a step moves the radius by at most half the tolerance: for
+    a bisection that is a bracket of width _INSERT_REL_TOL * r_n."""
+    tol = _INSERT_REL_TOL * r[-1]
     s = 0.5 * (lo + hi)
-    return np.insert(r, gap, s)
+    step = hi - lo
+    for _ in range(_INSERT_MAX_STEPS):
+        lam, slope = core.probe_ring_lambda(params, r, s, slope=True)
+        g = lam - params.lam
+        if g < 0.0:
+            lo = s
+        else:
+            hi = s
+        newton = s - g / slope if slope else np.nan
+        if newton == s:  # a root, or a Newton correction below rounding
+            return s
+        if lo < newton < hi and abs(newton - s) <= 0.5 * step:
+            s_next = newton
+        else:
+            s_next = 0.5 * (lo + hi)
+        step = abs(s_next - s)
+        s = s_next
+        if step <= 0.5 * tol:
+            return s
+    raise BracketError(
+        f"insertion did not converge in {_INSERT_MAX_STEPS} steps "
+        f"(bracket [{lo:.17g}, {hi:.17g}])"
+    )
 
 
 def _push_to_sign(g, edge, other, want_negative):
@@ -299,7 +338,14 @@ def _continue_ring(params: SpiderwebParams, r, target_mass, settings) -> Configu
     step_init = settings.mass_step_init or target_mass
     step = step_init
     m_cur = 0.0
+    steps = 0
     while m_cur < target_mass:
+        if steps == _MASS_STEPS_PER_RING:
+            raise ContinuationStalled(
+                f"{steps} mass steps reached mass {m_cur:.6g} of {target_mass:.6g}",
+                last_good_mass=m_cur,
+            )
+        steps += 1
         m_try = min(target_mass, m_cur + step)
         try:
             r_new, norm, iters, _ = _newton_raw(
@@ -329,7 +375,7 @@ def build_configuration(
     config = solve_single_ring(base)
     for k in range(2, params.n + 1):
         # config is the solver's own output and carries |f| of its radii; a
-        # massless ring bisected into a solved system solves the zero-mass
+        # massless ring inserted into a solved system solves the zero-mass
         # one, so neither residual is evaluated again
         try:
             extended = _insert_ring(config.params, config.radii, k - 1,

@@ -1,17 +1,20 @@
 """Test-only cross-checks of the spoke-sum formulas in ``spiderweb.core``:
 the phi form of forces and Jacobian, built from phi_nu(x) = sum_k d_k(x)^-nu,
-the dense Hessian tensor and the Jacobian row sums, in both scalar kinds; and
+the dense Hessian tensor and the Jacobian row sums, in both scalar kinds;
 the four-endpoint interval product, quotient and square that the lean forms
-of ``spiderweb.intervals`` must reproduce."""
+of ``spiderweb.intervals`` must reproduce; and ring insertion by plain
+bisection of the probe lambda."""
 
 import numpy as np
 
+from spiderweb import solver
 from spiderweb.core import (
     FLOAT64,
     CollisionError,
     SpiderwebParams,
     _validate_radii,
     hessian_parts,
+    probe_ring_lambda,
     zeta,
 )
 from spiderweb.intervals import Interval, down, up
@@ -199,3 +202,23 @@ def square_mig_mag(x: Interval) -> Interval:
     """x^2 as [mig(x)^2, mag(x)^2]."""
     lo, hi = x.mig(), x.mag()
     return Interval._make(down(lo * lo), up(hi * hi))
+
+
+def insert_ring_by_bisection(params: SpiderwebParams, radii, gap: int,
+                             rel_tol=1e-13) -> float:
+    """Radius of the massless ring's equilibrium in ``gap`` (as in
+    ``solver.insert_zero_mass_ring``) by bisection of the probe lambda from
+    the solver's sign bracket down to a width of rel_tol * r_n; the midpoint
+    of the last bracket is returned."""
+    r = np.asarray(radii, dtype=np.float64)
+    lo, hi = solver._sign_bracket(params, r, gap)
+    tol = rel_tol * r[-1]
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if probe_ring_lambda(params, r, mid) < params.lam:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -246,7 +246,7 @@ def test_criterion_8_restricted_insertion():
         oracle = brentq(g, bracket_lo, hi * (1 - 1e-9) if gap < 3 else hi, xtol=1e-14)
         worst = max(worst, abs(ours - oracle) / oracle)
     assert worst < 1e-10
-    report(8, f"probe lambda monotone on all 4 gaps; bisection vs brentq "
+    report(8, f"probe lambda monotone on all 4 gaps; safeguarded Newton vs brentq "
               f"agree to {worst:.1e} (<1e-10)")
 
 

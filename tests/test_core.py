@@ -513,6 +513,51 @@ def test_probe_lambda_is_bitwise_the_full_kernel_row():
             assert core.probe_ring_lambda(p, r, s) == _probe_oracle(p, r, s)
 
 
+def _probe_cases(rng, count):
+    """(params, radii, probe radii) with a probe below, between and above
+    the rings."""
+    for _ in range(count):
+        n = int(rng.integers(1, 13))
+        ell = int(rng.integers(2, 41))
+        r = np.cumsum(rng.uniform(0.05, 1.0, size=n)) + rng.uniform(0.1, 2.0)
+        m0 = float(rng.uniform(0.0, 2.0)) if rng.random() < 0.5 else 0.0
+        p = SpiderwebParams(n, ell, m0, rng.uniform(0.1, 3.0, size=n), -1.0)
+        probes = [r[0] * rng.uniform(0.05, 0.95), r[-1] * rng.uniform(1.05, 4.0)]
+        probes += [rng.uniform(a + 0.1 * (b - a), b - 0.1 * (b - a))
+                   for a, b in zip(r[:-1], r[1:])][:3]
+        yield p, r, probes
+
+
+def test_probe_slope_leaves_lambda_bitwise_unchanged():
+    for p, r, probes in _probe_cases(np.random.default_rng(RNG_SEED + 40), 60):
+        for s in probes:
+            lam, _ = core.probe_ring_lambda(p, r, s, slope=True)
+            assert lam == core.probe_ring_lambda(p, r, s)
+
+
+def test_probe_slope_is_the_jacobian_diagonal_at_zero_self_mass():
+    """d lambda/ds = (lam - J[k, k] - lambda)/s, with J the full Jacobian of
+    the system extended by the probe as a massless ring k."""
+    for p, r, probes in _probe_cases(np.random.default_rng(RNG_SEED + 41), 60):
+        k = p.n
+        for s in probes:
+            lam, slope = core.probe_ring_lambda(p, r, s, slope=True)
+            jac = core._jacobian_raw(np.append(r, s), np.append(p.masses, 0.0),
+                                     p.m0, p.lam, p.ell, FLOAT64)
+            expected = (p.lam - jac[k, k] - lam) / s
+            scale = (abs(p.lam) + abs(jac[k, k]) + abs(lam)) / s
+            assert slope == pytest.approx(expected, rel=1e-11, abs=1e-13 * scale)
+
+
+def test_probe_slope_matches_central_difference():
+    for p, r, probes in _probe_cases(np.random.default_rng(RNG_SEED + 42), 40):
+        for s in probes:
+            _, slope = core.probe_ring_lambda(p, r, s, slope=True)
+            h = 1e-6 * min([s] + [abs(s - x) for x in r])
+            fd = (core.probe_ring_lambda(p, r, s + h) - core.probe_ring_lambda(p, r, s - h)) / (2 * h)
+            assert slope == pytest.approx(fd, rel=1e-6)
+
+
 def test_probe_lambda_matches_multi_chunk_kernel():
     n, ell = 150, 200
     assert len(core.row_blocks(n + 1, (n + 1) * ell)) > 1  # the oracle runs in blocks

@@ -20,6 +20,8 @@ from spiderweb.solver import (
     solve_single_ring,
 )
 
+import oracles
+
 
 def single_ring_radius(ell, m0, m1, lam):
     z = float(core.zeta(ell))
@@ -67,6 +69,12 @@ def test_settings_validation():
             ContinuationSettings(newton_tol=bad)
         with pytest.raises(ValueError, match="mass_step_init must be finite and positive"):
             ContinuationSettings(mass_step_init=bad)
+    # a fractional cap would reach range() inside the build, and a bool is
+    # not a count
+    for bad in (2.5, 1.0, True, np.True_, 0, -3):
+        with pytest.raises(ValueError, match="newton_max_iter must be an integer >= 1"):
+            ContinuationSettings(newton_max_iter=bad)
+    assert ContinuationSettings(newton_max_iter=np.int64(7)).newton_max_iter == 7
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +192,80 @@ def test_public_insertion_still_checks_a_solved_input():
     assert insert_zero_mass_ring(c, gap=3).shape == (4,)
 
 
+def _assert_insertion_matches_bisection(config):
+    p, r = config.params, config.radii
+    tol = solver._INSERT_REL_TOL * r[-1]
+    for gap in range(0 if p.m0 > 0 else 1, p.n + 1):
+        ours = insert_zero_mass_ring(config, gap)[gap]
+        assert abs(ours - oracles.insert_ring_by_bisection(p, r, gap)) <= tol
+
+
+def test_insertion_matches_bisection_in_every_gap():
+    p = SpiderwebParams(3, 7, 0.5, np.array([1.0, 0.7, 1.8]), -1.0)
+    _assert_insertion_matches_bisection(build_configuration(p))
+
+
+def test_insertion_matches_bisection_on_random_instances():
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        n = int(rng.integers(1, 7))
+        m0 = float(rng.uniform(0.1, 2.0)) if rng.random() < 0.5 else 0.0
+        p = SpiderwebParams(n, int(rng.integers(2, 31)), m0, rng.uniform(0.3, 3.0, size=n),
+                            float(-rng.uniform(0.5, 2.0)))
+        _assert_insertion_matches_bisection(build_configuration(p))
+
+
+@pytest.mark.parametrize("n, ell", [(10, 20), (40, 80)])
+def test_build_makes_few_probe_evaluations_per_ring(monkeypatch, n, ell):
+    probe, insert = core.probe_ring_lambda, solver._insert_ring
+    calls, per_ring = [], []
+
+    def counting_probe(*args, **kwargs):
+        calls.append(1)
+        return probe(*args, **kwargs)
+
+    def counting_insert(*args):
+        before = len(calls)
+        out = insert(*args)
+        per_ring.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(core, "probe_ring_lambda", counting_probe)
+    monkeypatch.setattr(solver, "_insert_ring", counting_insert)
+    build_configuration(SpiderwebParams(n, ell, 0.0, np.ones(n), -1.0))
+    assert len(per_ring) == n - 1
+    assert max(per_ring) <= 16
+
+
+@pytest.mark.parametrize("garbage", [lambda d: np.nan, lambda d: -d, lambda d: 0.0],
+                         ids=["nan", "wrong sign", "zero"])
+def test_insertion_with_a_garbage_slope_bisects_inside_the_bracket(monkeypatch, garbage):
+    config = build_configuration(SpiderwebParams(3, 7, 0.5, np.array([1.0, 0.7, 1.8]), -1.0))
+    p, r = config.params, config.radii
+    probe = core.probe_ring_lambda
+    for gap in range(p.n + 1):
+        bracket = list(solver._sign_bracket(p, r, gap))
+
+        def garbled(params, radii, s, *, slope=False):
+            assert slope and bracket[0] < s < bracket[1]
+            lam, d = probe(params, radii, s, slope=True)
+            bracket[0 if lam < p.lam else 1] = s
+            return lam, garbage(d)
+
+        monkeypatch.setattr(core, "probe_ring_lambda", garbled)
+        s = solver._safeguarded_newton(p, r, *bracket)
+        monkeypatch.undo()
+        oracle = oracles.insert_ring_by_bisection(p, r, gap)
+        assert abs(s - oracle) <= solver._INSERT_REL_TOL * r[-1]
+
+
+def test_insertion_gives_up_after_its_step_cap(monkeypatch):
+    c = build_configuration(SpiderwebParams(3, 7, 0.0, np.ones(3), -1.0))
+    monkeypatch.setattr(solver, "_INSERT_MAX_STEPS", 2)
+    with pytest.raises(BracketError, match="did not converge in 2 steps"):
+        insert_zero_mass_ring(c, gap=3)
+
+
 # ---------------------------------------------------------------------------
 # continuation
 # ---------------------------------------------------------------------------
@@ -221,6 +303,16 @@ def test_continuation_stalls_with_unreachable_tolerance():
         # the zero-mass precheck itself may trip, or the continuation stalls;
         # either way the failure must be a SolverError with context
         continue_mass(p, ext, 1.0, hard)
+
+
+def test_continuation_stalls_at_its_mass_step_budget():
+    # one Newton iteration per mass step crawls: every step must reach the
+    # tolerance at once, so the mass steps run out long before the mass does
+    p = SpiderwebParams(3, 6, 0.0, np.ones(3), -1.0)
+    with pytest.raises(ContinuationStalled, match="1000 mass steps") as excinfo:
+        build_configuration(p, ContinuationSettings(newton_max_iter=1))
+    assert 0.0 < excinfo.value.last_good_mass < 1.0
+    assert excinfo.value.ring_index == 2
 
 
 def test_continuation_stall_carries_last_good_mass():
