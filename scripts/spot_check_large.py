@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Paper-scale spot check: build and rigorously certify the n = 100,
 ell = 200 equal-mass configuration.  Three runs on a 2-core Intel Xeon with
-OPENBLAS_NUM_THREADS=1: build 12.0-14.7 s, certify 1.5 s (|f| = 1.37e-11,
-Y0 = 1.89e-12, Z0 = 3.71e-09, Z2 = 6.69e+04, rho0 = 1.89e-12).  Inserting
-each ring by bisection instead of safeguarded Newton, the build took
-15.5-16.6 s there, and 27.7 s without the CLI's heap policy as well.
+OPENBLAS_NUM_THREADS=1: build 7.8-9.1 s, certify 1.6-1.8 s (|f| = 7.90e-11,
+Y0 = 4.90e-12, Z0 = 3.68e-09, Z2 = 6.69e+04, rho0 = 4.90e-12).  Starting
+every ring's Newton solve from the zero-mass insertion instead of the
+secant prediction, the build took 11.9-12.0 s there (397 Jacobians against
+277).
 
 The Newton tolerance sits above the float evaluation floor of |f|_inf at
 this size (~1e-11); the certificate is rigorous regardless and simply

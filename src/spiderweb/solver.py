@@ -3,8 +3,13 @@
 The build follows an induction on the ring count: the single-ring system has
 a closed-form radius, a new massless ring has a unique equilibrium radius in
 every gap (found by safeguarded Newton on the strictly monotone probe lambda,
-inside a sign bracket), and the new ring's mass is then continued from zero
-to its target with damped Newton correction at each continuation step.
+inside a sign bracket), and the new ring is then solved at its target mass
+by damped Newton.  From the third ring on, that solve starts from the secant
+prediction of predictor-corrector continuation: the inserted radii moved by
+the relative displacement the previous ring's mass caused.  When the
+prediction leaves the cone or its solve fails, the ring's mass is continued
+from the zero-mass insertion, full mass first and halving the step on each
+failed solve.
 """
 
 from __future__ import annotations
@@ -212,28 +217,34 @@ def _insert_ring(params: SpiderwebParams, r, gap: int, norm: float) -> np.ndarra
 
 def _sign_bracket(params: SpiderwebParams, r, gap: int):
     """(lo, hi) inside the gap with the probe lambda below lam at lo and
-    above it at hi."""
+    above it at hi.  Every point of either sign that the search evaluates
+    tightens its end of the bracket; a NaN or zero value never becomes an
+    end."""
 
     def g(s):
         return core.probe_ring_lambda(params, r, s) - params.lam
 
     if gap == params.n:
         lo_edge = r[-1]
+        lo = None
         hi = 2.0 * r[-1]
         for _ in range(_BRACKET_DOUBLINGS):
-            if g(hi) > 0.0:
+            val = g(hi)
+            if val > 0.0:
                 break
+            if val < 0.0:
+                lo = hi
             hi *= 2.0
         else:
             raise BracketError("probe lambda never exceeded lambda in the outer gap")
-        lo = _push_to_sign(g, lo_edge, min(hi, lo_edge * 2.0), want_negative=True)
+        if lo is None:
+            lo, hi = _push_to_sign(g, lo_edge, hi, want_negative=True)
     else:
         lo_edge = 0.0 if gap == 0 else r[gap - 1]
         hi_edge = r[gap]
-        lo = _push_to_sign(g, lo_edge, hi_edge, want_negative=True)
-        hi = _push_to_sign(g, hi_edge, lo_edge, want_negative=False)
-        if not lo < hi:
-            raise BracketError(f"no sign change found inside gap {gap}")
+        lo, hi = _push_to_sign(g, lo_edge, hi_edge, want_negative=True)
+        if hi == hi_edge:
+            hi, lo = _push_to_sign(g, hi_edge, lo, want_negative=False)
     return lo, hi
 
 
@@ -279,16 +290,22 @@ def _push_to_sign(g, edge, other, want_negative):
     lambda blows up monotonically toward a true gap edge, so a few quarterings
     of the distance suffice when the wanted sign is attainable at all.  The
     walk stops a relative 1e-13 away from the edge, below which cancellation
-    noise amplified by the near-singularity would fake sign changes."""
+    noise amplified by the near-singularity would fake sign changes.
+
+    Returns the point found and the closest point to it that the walk
+    evaluated with the strictly opposite sign (`other` if there was none)."""
+    sign = -1.0 if want_negative else 1.0
     scale = max(abs(edge), abs(other))
-    t = other
+    t = seen = other
     for _ in range(_BRACKET_DOUBLINGS):
         t = edge + 0.25 * (t - edge)
         if abs(t - edge) < 1e-13 * scale:
             break
-        val = g(t)
-        if (val < 0.0) == want_negative and val != 0.0:
-            return t
+        val = sign * g(t)
+        if val > 0.0:
+            return t, seen
+        if val < 0.0:
+            seen = t
     raise BracketError(
         f"could not bracket a root near radius {edge:.6g}; "
         "is the input configuration central?"
@@ -365,30 +382,72 @@ def _continue_ring(params: SpiderwebParams, r, target_mass, settings) -> Configu
     return Configuration(extended, r, norm)
 
 
+def _secant_prediction(r_ins, delta):
+    """Start for a ring's full-mass Newton solve: the inserted radii r_ins
+    moved by the relative displacement delta that the previous ring's mass
+    caused, aligned from the outermost ring, with delta's innermost entry
+    repeated for the rings it does not cover (secant predictor of
+    predictor-corrector continuation; Allgower & Georg, ch. 2)."""
+    return r_ins * (1.0 + np.pad(delta, (r_ins.size - delta.size, 0), mode="edge"))
+
+
+def _solve_from_prediction(params: SpiderwebParams, k, r_pred, settings):
+    """The first k rings of params solved by Newton from r_pred, or None when
+    r_pred is outside the cone or the solve fails."""
+    if not _in_cone(r_pred):
+        return None
+    masses = params.masses[:k]
+    try:
+        r, norm, _, _ = _newton_raw(r_pred, masses, params.m0, params.lam, params.ell, settings)
+    except (NewtonDiverged, SingularJacobian):
+        return None
+    return Configuration(
+        SpiderwebParams(k, params.ell, params.m0, masses, params.lam), r, norm
+    )
+
+
 def build_configuration(
     params: SpiderwebParams, settings: ContinuationSettings | None = None
 ) -> Configuration:
     """Construct the full configuration ring by ring: closed form for one
-    ring, then repeated outermost-gap insertion plus mass continuation."""
+    ring, then repeated outermost-gap insertion of a massless ring and a
+    Newton solve at the new ring's mass.
+
+    From the third ring on, that solve starts from the secant prediction:
+    the inserted radii moved by the relative displacement the previous
+    ring's mass caused.  If the prediction leaves the cone or its Newton
+    solve fails, or if ``settings.mass_step_init`` is below the ring mass,
+    the ring is continued from the zero-mass insertion with mass halving,
+    as ``continue_mass`` does."""
     settings = settings or ContinuationSettings()
     base = SpiderwebParams(1, params.ell, params.m0, params.masses[:1], params.lam)
     config = solve_single_ring(base)
+    delta = None
     for k in range(2, params.n + 1):
         # config is the solver's own output and carries |f| of its radii; a
         # massless ring inserted into a solved system solves the zero-mass
         # one, so neither residual is evaluated again
+        mass = params.masses[k - 1]
         try:
             extended = _insert_ring(config.params, config.radii, k - 1,
                                     config.residual_norm)
-            config = _continue_ring(
-                config.params, extended, params.masses[k - 1], settings
-            )
+            solved = None
+            # the prediction replaces a full-mass first step; a smaller one
+            # set by the caller keeps the zero-mass start
+            if delta is not None and (settings.mass_step_init or mass) >= mass:
+                solved = _solve_from_prediction(
+                    params, k, _secant_prediction(extended, delta), settings)
+            if solved is None:
+                solved = _continue_ring(config.params, extended, mass, settings)
+            config = solved
         except SolverError as exc:
             exc.ring_index = k
             exc.args = (f"construction failed while adding ring {k}: {exc}",)
             raise
+        delta = (config.radii - extended) / extended
     # polish once at the full system so the residual is not merely inherited
     r, norm, _, _ = _newton_raw(
         config.radii, params.masses, params.m0, params.lam, params.ell, settings
     )
     return Configuration(params, r, norm)
+

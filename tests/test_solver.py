@@ -215,8 +215,33 @@ def test_insertion_matches_bisection_on_random_instances():
         _assert_insertion_matches_bisection(build_configuration(p))
 
 
-@pytest.mark.parametrize("n, ell", [(10, 20), (40, 80)])
-def test_build_makes_few_probe_evaluations_per_ring(monkeypatch, n, ell):
+def test_sign_bracket_ends_have_strict_signs_in_every_gap():
+    config = build_configuration(SpiderwebParams(3, 7, 0.5, np.array([1.0, 0.7, 1.8]), -1.0))
+    p, r = config.params, config.radii
+    for gap in range(p.n + 1):
+        lo, hi = solver._sign_bracket(p, r, gap)
+        assert core.probe_ring_lambda(p, r, lo) < p.lam < core.probe_ring_lambda(p, r, hi)
+
+
+def test_push_to_sign_keeps_the_closest_opposite_point_and_skips_nan_and_zero():
+    # the walk from 1 toward 0 evaluates 1/4, 1/16, 1/64, 1/256, ...
+    values = {0.25: 1.0, 0.0625: np.nan, 0.015625: 0.0, 0.00390625: -1.0}
+    assert solver._push_to_sign(values.__getitem__, 0.0, 1.0, want_negative=True) \
+        == (0.00390625, 0.25)
+    # nothing of the opposite sign evaluated: the start point comes back
+    assert solver._push_to_sign(lambda s: np.nan if s > 0.1 else -1.0, 0.0, 1.0,
+                                want_negative=True) == (0.0625, 1.0)
+    # a NaN is no positive value either (the walk from 0 toward 1: 3/4, 15/16)
+    assert solver._push_to_sign(lambda s: np.nan if s < 0.9 else 1.0, 1.0, 0.0,
+                                want_negative=False) == (0.9375, 0.0)
+
+
+@pytest.mark.parametrize("n, ell, masses, bound", [
+    (10, 20, np.ones, 13),
+    (40, 80, np.ones, 13),
+    (40, 80, lambda n: 1.0 / np.arange(1, n + 1), 16),
+], ids=["10-20", "40-80", "40-80-inv"])
+def test_build_makes_few_probe_evaluations_per_ring(monkeypatch, n, ell, masses, bound):
     probe, insert = core.probe_ring_lambda, solver._insert_ring
     calls, per_ring = [], []
 
@@ -232,9 +257,9 @@ def test_build_makes_few_probe_evaluations_per_ring(monkeypatch, n, ell):
 
     monkeypatch.setattr(core, "probe_ring_lambda", counting_probe)
     monkeypatch.setattr(solver, "_insert_ring", counting_insert)
-    build_configuration(SpiderwebParams(n, ell, 0.0, np.ones(n), -1.0))
+    build_configuration(SpiderwebParams(n, ell, 0.0, masses(n), -1.0))
     assert len(per_ring) == n - 1
-    assert max(per_ring) <= 16
+    assert max(per_ring) <= bound
 
 
 @pytest.mark.parametrize("garbage", [lambda d: np.nan, lambda d: -d, lambda d: 0.0],
@@ -338,10 +363,39 @@ def test_continuation_stall_carries_last_good_mass():
 # full builds
 # ---------------------------------------------------------------------------
 
+def _build_by_public_steps(params, settings, secant=True):
+    """The build replayed through the public steps: each ring is inserted
+    with insert_zero_mass_ring and then solved by newton_solve from the
+    secant prediction (from the third ring on, when ``secant``) or by
+    continue_mass from the insertion (the constant predictor).  Returns the
+    polished radii and their residual norm."""
+    config = solve_single_ring(
+        SpiderwebParams(1, params.ell, params.m0, params.masses[:1], params.lam))
+    delta = None
+    for k in range(2, params.n + 1):
+        extended = insert_zero_mass_ring(config, gap=k - 1)
+        if secant and delta is not None:
+            first_k = SpiderwebParams(k, params.ell, params.m0, params.masses[:k], params.lam)
+            config = newton_solve(first_k, solver._secant_prediction(extended, delta), settings)
+        else:
+            config = continue_mass(config.params, extended, params.masses[k - 1], settings)
+        delta = (config.radii - extended) / extended
+    r, norm, _, _ = solver._newton_raw(config.radii, params.masses, params.m0,
+                                       params.lam, params.ell, settings)
+    return r, norm
+
+
+def _assert_close_to_constant_predictor(built, settings=None):
+    r, _ = _build_by_public_steps(built.params, settings or ContinuationSettings(),
+                                  secant=False)
+    assert np.max(np.abs(built.radii - r) / r) <= 1e-12
+
+
 def test_build_skips_residual_rechecks_and_keeps_radii(monkeypatch):
     """The build reuses the residual norms it holds instead of evaluating
-    them again in the public insertion and continuation steps; the radii
-    are those of the public steps bit for bit."""
+    them again in the public insertion and continuation steps, and solves
+    each ring from the same secant prediction; the radii are those of the
+    public steps bit for bit."""
     params = SpiderwebParams(10, 20, 0.3, np.linspace(1.0, 2.0, 10), -1.0)
     settings = ContinuationSettings()
     real = core._residual_raw
@@ -356,17 +410,106 @@ def test_build_skips_residual_rechecks_and_keeps_radii(monkeypatch):
     n_build = len(calls)
 
     calls.clear()
-    config = solve_single_ring(
-        SpiderwebParams(1, params.ell, params.m0, params.masses[:1], params.lam))
-    for k in range(2, params.n + 1):
-        extended = insert_zero_mass_ring(config, gap=k - 1)
-        config = continue_mass(config.params, extended, params.masses[k - 1], settings)
-    r, norm, _, _ = solver._newton_raw(config.radii, params.masses, params.m0,
-                                       params.lam, params.ell, settings)
-    # two checks per added ring: insertion and the zero-mass system
-    assert n_build == len(calls) - 2 * (params.n - 1)
+    r, norm = _build_by_public_steps(params, settings)
+    # one insertion check per added ring, and the zero-mass check of the one
+    # continue_mass call (the second ring, which has no prediction)
+    assert n_build == len(calls) - (params.n - 1) - 1
     assert built.radii.tobytes() == r.tobytes()
     assert built.residual_norm == norm
+
+
+def test_secant_prediction_aligns_from_the_outermost_ring():
+    r_ins = np.array([1.0, 2.0, 4.0])
+    pred = solver._secant_prediction(r_ins, np.array([0.1, 0.2]))
+    assert np.array_equal(pred, r_ins * (1.0 + np.array([0.1, 0.1, 0.2])))
+    # a displacement that reorders the rings leaves the cone
+    assert not solver._in_cone(solver._secant_prediction(r_ins, np.array([0.5, -0.6])))
+
+
+def _count_continued_rings(monkeypatch):
+    real, rings = solver._continue_ring, []
+
+    def counting(params, *args):
+        rings.append(params.n + 1)
+        return real(params, *args)
+
+    monkeypatch.setattr(solver, "_continue_ring", counting)
+    return rings
+
+
+@pytest.mark.parametrize("params", [
+    SpiderwebParams(10, 20, 0.3, np.linspace(1.0, 2.0, 10), -1.0),
+    SpiderwebParams(20, 40, 0.0, 1.0 / np.arange(1, 21), -1.0),
+    SpiderwebParams(6, 2, 0.0, np.ones(6), -1.0),
+], ids=["10-20-m0", "20-40-inv", "6-2"])
+def test_predicted_build_agrees_with_constant_predictor(monkeypatch, params):
+    rings = _count_continued_rings(monkeypatch)
+    built = build_configuration(params)
+    assert rings == [2]
+    _assert_close_to_constant_predictor(built)
+
+
+def test_failed_prediction_falls_back_to_continuation(monkeypatch):
+    params = SpiderwebParams(10, 20, 0.0, np.ones(10), -1.0)
+    predict, newton = solver._secant_prediction, solver._newton_raw
+    predicted = {}
+
+    def recording(r_ins, delta):
+        predicted[r_ins.size] = predict(r_ins, delta)
+        return predicted[r_ins.size]
+
+    def failing_at_ring_5(r0, *args):
+        if r0 is predicted.get(5):
+            raise NewtonDiverged("forced failure of the predicted start")
+        return newton(r0, *args)
+
+    monkeypatch.setattr(solver, "_secant_prediction", recording)
+    monkeypatch.setattr(solver, "_newton_raw", failing_at_ring_5)
+    rings = _count_continued_rings(monkeypatch)
+    built = build_configuration(params)
+    monkeypatch.undo()
+    assert rings == [2, 5]
+    _assert_close_to_constant_predictor(built)
+
+
+def test_prediction_outside_the_cone_falls_back_to_continuation(monkeypatch):
+    params = SpiderwebParams(8, 12, 0.0, np.ones(8), -1.0)
+    predict = solver._secant_prediction
+
+    def reversed_at_ring_4(r_ins, delta):
+        pred = predict(r_ins, delta)
+        return pred[::-1] if r_ins.size == 4 else pred
+
+    monkeypatch.setattr(solver, "_secant_prediction", reversed_at_ring_4)
+    rings = _count_continued_rings(monkeypatch)
+    built = build_configuration(params)
+    monkeypatch.undo()
+    assert rings == [2, 4]
+    _assert_close_to_constant_predictor(built)
+
+
+def test_a_small_first_mass_step_skips_the_prediction(monkeypatch):
+    params = SpiderwebParams(4, 6, 0.0, np.ones(4), -1.0)
+    rings = _count_continued_rings(monkeypatch)
+    small = ContinuationSettings(mass_step_init=0.02)
+    built = build_configuration(params, small)
+    assert rings == [2, 3, 4]
+    _assert_close_to_constant_predictor(built, small)
+    rings.clear()
+    build_configuration(params, ContinuationSettings(mass_step_init=1.0))
+    assert rings == [2]
+
+
+def test_build_makes_few_jacobian_evaluations(monkeypatch):
+    real, calls = core._jacobian_raw, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_jacobian_raw", counting)
+    build_configuration(SpiderwebParams(40, 80, 0.0, np.ones(40), -1.0))
+    assert len(calls) <= 130
 
 
 def test_build_n1_equals_single_ring():
