@@ -21,7 +21,6 @@ from .solver import (
     build_configuration,
     continue_mass,
     insert_zero_mass_ring,
-    newton_solve,
     solve_single_ring,
 )
 # the existence certifier lives in spiderweb.certify; its entry point is
@@ -59,7 +58,6 @@ __all__ = [
     "ContinuationStalled",
     "BracketError",
     "solve_single_ring",
-    "newton_solve",
     "insert_zero_mass_ring",
     "continue_mass",
     "build_configuration",

@@ -322,23 +322,16 @@ def h_ell_check(ell: int, grid_points: int | None = None) -> HCheckReport:
     m_est = float(vals[i_min])
     deriv_bound = _h_deriv_bound(ell)
     if m_est <= 0.0:
-        witness = core.h_ell(Interval.point(xs[i_min]), ell, INTERVAL)
-        if float(witness.hi) < 0.0:
-            return HCheckReport(
-                ell=ell,
-                grid_points=0,
-                deriv_bound=deriv_bound,
-                lower_bound=m_est,
-                verified=False,
-                negative_at=float(xs[i_min]),
-                negative_value=float(witness.hi),
-            )
+        witness = float(core.h_ell(Interval.point(xs[i_min]), ell, INTERVAL).hi)
+        refuted = witness < 0.0
         return HCheckReport(
             ell=ell,
             grid_points=0,
             deriv_bound=deriv_bound,
             lower_bound=m_est,
             verified=False,
+            negative_at=float(xs[i_min]) if refuted else None,
+            negative_value=witness if refuted else None,
         )
     m = 0.5 * m_est
     p = grid_points if grid_points is not None else int(np.ceil(deriv_bound / m)) + 1

@@ -63,7 +63,6 @@ def _parse_int(v, name):
 
 def settings_to_json(settings: ContinuationSettings) -> dict:
     return {
-        "mass_step_init": _fmt_opt(settings.mass_step_init),
         "newton_tol": _fmt(settings.newton_tol),
         "newton_max_iter": settings.newton_max_iter,
     }
@@ -162,11 +161,10 @@ def parse_document(text: str):
 
 
 def _settings_from_json(raw: dict) -> ContinuationSettings:
-    """Settings of a document; other keys, such as the removed step factors
-    and bisection tolerance that older versions wrote, are ignored."""
-    step = raw.get("mass_step_init")
+    """Settings of a document; other keys, such as the removed first mass
+    step, step factors and bisection tolerance that older versions wrote,
+    are ignored."""
     return ContinuationSettings(
-        mass_step_init=None if step is None else _parse_real(step, "mass_step_init"),
         newton_tol=_parse_real(raw.get("newton_tol", "1e-12"), "newton_tol"),
         newton_max_iter=_parse_int(raw.get("newton_max_iter", 50), "newton_max_iter"),
     )
@@ -236,6 +234,8 @@ def cmd_scan(args) -> int:
     if not ells or min(ells) < 2 or args.n_max < 1:
         raise ValueError(f"scan needs --n-max >= 1 and --ells >= 2, got "
                          f"{args.n_max} and {args.ells!r}")
+    if args.jobs < 1:
+        raise ValueError(f"scan needs --jobs >= 1, got {args.jobs}")
     settings = ContinuationSettings(newton_tol=args.tol)
     rows = analysis.scan(
         args.n_max, ells, args.masses,
@@ -273,6 +273,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_hcheck(args) -> int:
+    if args.grid_points is not None and args.grid_points < 1:
+        raise ValueError(f"hcheck needs --grid-points >= 1, got {args.grid_points}")
     report = h_ell_check(args.ell, args.grid_points)
     payload = {
         "ell": report.ell,

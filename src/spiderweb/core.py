@@ -37,7 +37,6 @@ __all__ = [
     "jacobian",
     "residual_and_jacobian",
     "hessian_parts",
-    "lambda_values",
     "probe_ring_lambda",
     "h_ell",
     "h_ell_deriv",
@@ -452,14 +451,6 @@ def hessian_parts(params: SpiderwebParams, radii, kind=FLOAT64):
     entry is zero."""
     radii = _validate_radii(radii)
     return _hessian_raw(radii, params.masses, params.m0, params.ell, kind)
-
-
-def lambda_values(params: SpiderwebParams, radii, kind=FLOAT64):
-    """Per-ring proportionality values lambda_i = F_i / (m_i r_i); the radii
-    form a central configuration for value lam iff all lambda_i equal lam."""
-    radii = _validate_radii(radii)
-    r = kind.lift(radii)
-    return _force_per_mass(radii, params.masses, params.m0, params.ell, kind) / r
 
 
 def probe_ring_lambda(params: SpiderwebParams, radii, s: float, *, slope=False):

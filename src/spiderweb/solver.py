@@ -6,10 +6,10 @@ every gap (found by safeguarded Newton on the strictly monotone probe lambda,
 inside a sign bracket), and the new ring is then solved at its target mass
 by damped Newton.  From the third ring on, that solve starts from the secant
 prediction of predictor-corrector continuation: the inserted radii moved by
-the relative displacement the previous ring's mass caused.  When the
-prediction leaves the cone or its solve fails, the ring's mass is continued
-from the zero-mass insertion, full mass first and halving the step on each
-failed solve.
+the relative displacement the previous ring's mass caused.  The second ring,
+a prediction outside the cone and a prediction whose solve fails continue
+the ring's mass from the zero-mass insertion instead, full mass first and
+halving the step on each failed solve.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "ContinuationStalled",
     "BracketError",
     "solve_single_ring",
-    "newton_solve",
     "insert_zero_mass_ring",
     "continue_mass",
     "build_configuration",
@@ -83,14 +82,10 @@ class BracketError(SolverError):
 
 @dataclass
 class ContinuationSettings:
-    """Tuning knobs for Newton iteration and mass continuation.
+    """Tolerance and iteration cap of every damped Newton solve.  The mass
+    continuation has no knob: it first adds the whole ring in one solve and
+    halves the mass step only when a solve fails."""
 
-    ``mass_step_init=None`` means the full target mass, so continuation
-    first tries to add the whole ring in one Newton solve and halves the step
-    only when that fails.
-    """
-
-    mass_step_init: float | None = None
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
 
@@ -101,9 +96,6 @@ class ContinuationSettings:
         is_int = isinstance(cap, (int, np.integer)) and not isinstance(cap, (bool, np.bool_))
         if not (is_int and cap >= 1):
             raise ValueError(f"newton_max_iter must be an integer >= 1, got {cap!r}")
-        step = self.mass_step_init
-        if step is not None and not (np.isfinite(step) and step > 0):
-            raise ValueError(f"mass_step_init must be finite and positive, got {step}")
 
 
 def _in_cone(r) -> bool:
@@ -165,20 +157,6 @@ def _newton_raw(r0, masses, m0, lam, ell, settings: ContinuationSettings):
         f"residual {norm:.3e} > {settings.newton_tol:.1e} "
         f"after {settings.newton_max_iter} iterations"
     )
-
-
-def newton_solve(
-    params: SpiderwebParams, initial_radii, settings: ContinuationSettings | None = None
-) -> Configuration:
-    """Damped Newton solve from a starting radii vector in the cone."""
-    settings = settings or ContinuationSettings()
-    r0 = require_cone(initial_radii)
-    if r0.shape != (params.n,):
-        raise ValueError(f"expected {params.n} radii, got {r0.shape}")
-    r, norm, _, _ = _newton_raw(
-        r0, params.masses, params.m0, params.lam, params.ell, settings
-    )
-    return Configuration(params, r, norm)
 
 
 def solve_single_ring(params: SpiderwebParams) -> Configuration:
@@ -322,7 +300,7 @@ def continue_mass(
 
     ``params`` describes the n base rings; ``radii`` has n+1 entries and must
     solve the system at zero appended mass.  Constant predictor, damped
-    Newton corrector, adaptive mass step (the full mass first by default).
+    Newton corrector, adaptive mass step (the full mass first, halved on failure).
     """
     settings = settings or ContinuationSettings()
     r = require_cone(radii)
@@ -340,20 +318,27 @@ def continue_mass(
     return _continue_ring(params, r, target_mass, settings)
 
 
-def _continue_ring(params: SpiderwebParams, r, target_mass, settings) -> Configuration:
-    """continue_mass on cone radii r that solve the zero-mass system."""
+def _continue_ring(params: SpiderwebParams, r, target_mass, settings,
+                   start=None) -> Configuration:
+    """continue_mass on cone radii r that solve the zero-mass system.  A
+    ``start`` in the cone is tried first, by one Newton solve at the full
+    mass; when that solve fails, the mass is continued from r."""
     # the validated constructor rejects a target mass that is not finite and > 0
     target_mass = float(target_mass)
     extended = SpiderwebParams(
         params.n + 1, params.ell, params.m0,
         np.append(params.masses, target_mass), params.lam,
     )
+    if start is not None and _in_cone(start):
+        try:
+            r_new, norm, _, _ = _newton_raw(
+                start, extended.masses, params.m0, params.lam, params.ell, settings
+            )
+            return Configuration(extended, r_new, norm)
+        except (NewtonDiverged, SingularJacobian):
+            pass
 
-    def masses_at(m):
-        return np.append(params.masses, m)
-
-    step_init = settings.mass_step_init or target_mass
-    step = step_init
+    step = target_mass
     m_cur = 0.0
     steps = 0
     while m_cur < target_mass:
@@ -366,11 +351,12 @@ def _continue_ring(params: SpiderwebParams, r, target_mass, settings) -> Configu
         m_try = min(target_mass, m_cur + step)
         try:
             r_new, norm, iters, _ = _newton_raw(
-                r, masses_at(m_try), params.m0, params.lam, params.ell, settings
+                r, np.append(params.masses, m_try), params.m0, params.lam, params.ell,
+                settings,
             )
         except (NewtonDiverged, SingularJacobian):
             step *= _STEP_SHRINK
-            if step < step_init * 1e-12:
+            if step < target_mass * 1e-12:
                 raise ContinuationStalled(
                     f"mass step underflow at mass {m_cur:.6g} of {target_mass:.6g}",
                     last_good_mass=m_cur,
@@ -391,21 +377,6 @@ def _secant_prediction(r_ins, delta):
     return r_ins * (1.0 + np.pad(delta, (r_ins.size - delta.size, 0), mode="edge"))
 
 
-def _solve_from_prediction(params: SpiderwebParams, k, r_pred, settings):
-    """The first k rings of params solved by Newton from r_pred, or None when
-    r_pred is outside the cone or the solve fails."""
-    if not _in_cone(r_pred):
-        return None
-    masses = params.masses[:k]
-    try:
-        r, norm, _, _ = _newton_raw(r_pred, masses, params.m0, params.lam, params.ell, settings)
-    except (NewtonDiverged, SingularJacobian):
-        return None
-    return Configuration(
-        SpiderwebParams(k, params.ell, params.m0, masses, params.lam), r, norm
-    )
-
-
 def build_configuration(
     params: SpiderwebParams, settings: ContinuationSettings | None = None
 ) -> Configuration:
@@ -415,10 +386,9 @@ def build_configuration(
 
     From the third ring on, that solve starts from the secant prediction:
     the inserted radii moved by the relative displacement the previous
-    ring's mass caused.  If the prediction leaves the cone or its Newton
-    solve fails, or if ``settings.mass_step_init`` is below the ring mass,
-    the ring is continued from the zero-mass insertion with mass halving,
-    as ``continue_mass`` does."""
+    ring's mass caused.  The second ring, and a ring whose prediction leaves
+    the cone or whose predicted solve fails, is continued from the zero-mass
+    insertion with mass halving, as ``continue_mass`` does."""
     settings = settings or ContinuationSettings()
     base = SpiderwebParams(1, params.ell, params.m0, params.masses[:1], params.lam)
     config = solve_single_ring(base)
@@ -427,19 +397,12 @@ def build_configuration(
         # config is the solver's own output and carries |f| of its radii; a
         # massless ring inserted into a solved system solves the zero-mass
         # one, so neither residual is evaluated again
-        mass = params.masses[k - 1]
         try:
             extended = _insert_ring(config.params, config.radii, k - 1,
                                     config.residual_norm)
-            solved = None
-            # the prediction replaces a full-mass first step; a smaller one
-            # set by the caller keeps the zero-mass start
-            if delta is not None and (settings.mass_step_init or mass) >= mass:
-                solved = _solve_from_prediction(
-                    params, k, _secant_prediction(extended, delta), settings)
-            if solved is None:
-                solved = _continue_ring(config.params, extended, mass, settings)
-            config = solved
+            start = None if delta is None else _secant_prediction(extended, delta)
+            config = _continue_ring(config.params, extended, params.masses[k - 1],
+                                    settings, start)
         except SolverError as exc:
             exc.ring_index = k
             exc.args = (f"construction failed while adding ring {k}: {exc}",)
@@ -450,4 +413,3 @@ def build_configuration(
         config.radii, params.masses, params.m0, params.lam, params.ell, settings
     )
     return Configuration(params, r, norm)
-

@@ -2,8 +2,9 @@
 the phi form of forces and Jacobian, built from phi_nu(x) = sum_k d_k(x)^-nu,
 the dense Hessian tensor and the Jacobian row sums, in both scalar kinds;
 the four-endpoint interval product, quotient and square that the lean forms
-of ``spiderweb.intervals`` must reproduce; and ring insertion by plain
-bisection of the probe lambda."""
+of ``spiderweb.intervals`` must reproduce; ring insertion by plain bisection
+of the probe lambda; the per-ring lambda values; and a plain damped Newton
+solve from a given start."""
 
 import numpy as np
 
@@ -11,10 +12,13 @@ from spiderweb import solver
 from spiderweb.core import (
     FLOAT64,
     CollisionError,
+    Configuration,
     SpiderwebParams,
+    _force_per_mass,
     _validate_radii,
     hessian_parts,
     probe_ring_lambda,
+    require_cone,
     zeta,
 )
 from spiderweb.intervals import Interval, down, up
@@ -222,3 +226,24 @@ def insert_ring_by_bisection(params: SpiderwebParams, radii, gap: int,
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def lambda_values(params: SpiderwebParams, radii, kind=FLOAT64):
+    """Per-ring proportionality values lambda_i = F_i / (m_i r_i); the radii
+    form a central configuration for value lam iff all lambda_i equal lam."""
+    radii = _validate_radii(radii)
+    r = kind.lift(radii)
+    return _force_per_mass(radii, params.masses, params.m0, params.ell, kind) / r
+
+
+def newton_solve(params: SpiderwebParams, initial_radii, settings=None) -> Configuration:
+    """Damped Newton solve of the full system from a starting radii vector
+    in the cone, with the solver's own iteration."""
+    settings = settings or solver.ContinuationSettings()
+    r0 = require_cone(initial_radii)
+    if r0.shape != (params.n,):
+        raise ValueError(f"expected {params.n} radii, got {r0.shape}")
+    r, norm, _, _ = solver._newton_raw(
+        r0, params.masses, params.m0, params.lam, params.ell, settings
+    )
+    return Configuration(params, r, norm)

@@ -295,15 +295,15 @@ def test_certify_unique_zero_attracts_newton_from_ball():
     rng = np.random.default_rng(23)
     for _ in range(10):
         start = c.radii + rng.uniform(-1, 1, size=3) * cert.rho0
-        out = solver.newton_solve(c.params, start,
-                                  solver.ContinuationSettings(newton_tol=1e-14))
+        out = oracles.newton_solve(c.params, start,
+                                   solver.ContinuationSettings(newton_tol=1e-14))
         assert np.max(np.abs(out.radii - c.radii)) <= 1.01 * cert.rho0
 
 
 def test_more_polish_never_grows_rho0():
     p = SpiderwebParams(3, 6, 0.0, np.ones(3), -1.0)
     crude = solver.build_configuration(p, solver.ContinuationSettings(newton_tol=1e-9))
-    fine = solver.newton_solve(p, crude.radii, solver.ContinuationSettings(newton_tol=1e-13))
+    fine = oracles.newton_solve(p, crude.radii, solver.ContinuationSettings(newton_tol=1e-13))
     rho_star = 1e-5
     def rho0_of(center):
         a = np.linalg.inv(core.jacobian(p, center))

@@ -269,9 +269,8 @@ def test_document_integers_must_be_json_integers(tmp_path, capsys, path, value):
     (("params", "m0"), True),
     (("params", "m0"), 0.5),
     (("provenance", "settings", "newton_tol"), True),
-    (("provenance", "settings", "mass_step_init"), True),
     (("residual_norm",), True),
-], ids=["mass-bool", "m0-bool", "m0-number", "tol-bool", "step-bool", "residual-bool"])
+], ids=["mass-bool", "m0-bool", "m0-number", "tol-bool", "residual-bool"])
 def test_document_reals_must_be_json_strings(tmp_path, capsys, path, value):
     # Python reads true as 1.0; every document writes its reals as strings
     out = tmp_path / "sol.json"
@@ -292,12 +291,26 @@ def test_document_reals_must_be_json_strings(tmp_path, capsys, path, value):
     assert json.loads(capsys.readouterr().err)["exit_code"] == EXIT_VALIDATION
 
 
-@pytest.mark.parametrize("n_max,ells", [(0, "2,4"), (-1, "4"), (2, "1"), (2, "4,1"), (2, ",")])
-def test_scan_rejects_invalid_arguments_before_any_work(tmp_path, capsys, n_max, ells):
+@pytest.mark.parametrize("n_max,ells,jobs", [
+    (0, "2,4", 1), (-1, "4", 1), (2, "1", 1), (2, "4,1", 1), (2, ",", 1), (2, "4", 0),
+], ids=["0-2,4", "-1-4", "2-1", "2-4,1", "2-,", "jobs-0"])
+def test_scan_rejects_invalid_arguments_before_any_work(tmp_path, capsys, n_max, ells, jobs):
     out = tmp_path / "scan.csv"
-    assert run(["scan", "--n-max", n_max, "--ells", ells, "--out", out]) == EXIT_VALIDATION
-    assert json.loads(capsys.readouterr().err)["exit_code"] == EXIT_VALIDATION
+    assert run(["scan", "--n-max", n_max, "--ells", ells, "--jobs", jobs,
+                "--out", out]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == EXIT_VALIDATION
+    assert ("--jobs" if jobs < 1 else "--n-max") in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid_points", [0, -3])
+def test_hcheck_rejects_grid_points_below_one(capsys, grid_points):
+    assert run(["hcheck", "--ell", 7, "--grid-points", grid_points]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["exit_code"] == EXIT_VALIDATION and "--grid-points" in err["message"]
 
 
 @pytest.mark.parametrize("rho_star", ["nan", "inf", "0"])
@@ -324,20 +337,23 @@ def test_document_with_nan_newton_tol_is_rejected(tmp_path):
 
 
 def test_document_with_removed_settings_keys_still_works(tmp_path):
-    # documents written before step_shrink, step_grow and bisect_tol left
-    # the settings carry those keys; they are read past and not re-emitted
+    # documents written before mass_step_init, step_shrink, step_grow and
+    # bisect_tol left the settings carry those keys; they are read past and
+    # not re-emitted
     out = tmp_path / "sol.json"
     assert run(["solve", "--n", 3, "--ell", 6, "--masses", "equal:1",
                 "--out", out]) == EXIT_OK
-    doc = json.loads(out.read_text())
-    old_keys = {"step_shrink": "0.25", "step_grow": "3", "bisect_tol": "1e-10"}
-    doc["provenance"]["settings"].update(old_keys)
-    out.write_text(emit_document(doc))
-    assert run(["certify", "--input", out]) == EXIT_OK
-    doc = json.loads(out.read_text())
-    assert doc["certificate"] is not None
-    assert set(doc["provenance"]["settings"]) == {"mass_step_init", "newton_tol",
-                                                  "newton_max_iter"}
+    fresh = json.loads(out.read_text())
+    for step in (None, "0.5"):
+        doc = json.loads(json.dumps(fresh))
+        old_keys = {"mass_step_init": step, "step_shrink": "0.25", "step_grow": "3",
+                    "bisect_tol": "1e-10"}
+        doc["provenance"]["settings"].update(old_keys)
+        out.write_text(emit_document(doc))
+        assert run(["certify", "--input", out]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["certificate"] is not None
+        assert set(doc["provenance"]["settings"]) == {"newton_tol", "newton_max_iter"}
 
 
 @pytest.mark.parametrize("provenance", [None, [], "x", {"settings": [1]}],

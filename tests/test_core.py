@@ -353,9 +353,9 @@ def test_hessian_all_entries_match_jacobian_differences():
 def test_lambda_homogeneity_under_dilation():
     rng = np.random.default_rng(RNG_SEED + 6)
     params, radii = random_instance(rng, n_max=4)
-    lam1 = core.lambda_values(params, radii)
+    lam1 = oracles.lambda_values(params, radii)
     for c in (0.5, 2.0, 3.7):
-        lam2 = core.lambda_values(params, c * radii)
+        lam2 = oracles.lambda_values(params, c * radii)
         assert np.allclose(lam2, lam1 / c**3, rtol=1e-12)
 
 
@@ -374,7 +374,7 @@ def test_pairwise_lambda_monotonicity_properties():
         n = params.n
         if n < 3:
             continue
-        lam_of = lambda r: core.lambda_values(params, r)
+        lam_of = lambda r: oracles.lambda_values(params, r)
         # (1) sign dichotomy of lambda_ij
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -415,7 +415,7 @@ def test_gap_value_derivative_signs():
     h = 1e-7
 
     def gaps(r):
-        return -np.diff(core.lambda_values(params, r))
+        return -np.diff(oracles.lambda_values(params, r))
 
     for _ in range(10):
         n = 4
@@ -481,7 +481,7 @@ def test_probe_lambda_matches_vanishing_mass_limit():
     probe = core.probe_ring_lambda(p, r, s)
     tiny = 1e-300
     p3 = SpiderwebParams(3, 5, 0.3, np.array([1.0, tiny, 2.0]), -1.0)
-    lam3 = core.lambda_values(p3, np.array([1.0, 1.5, 2.2]))
+    lam3 = oracles.lambda_values(p3, np.array([1.0, 1.5, 2.2]))
     assert probe == pytest.approx(float(lam3[1]), rel=1e-12)
 
 
@@ -630,7 +630,7 @@ def test_float_results_inside_interval_enclosures():
         _assert_inside(core.jacobian(params, radii), core.jacobian(params, box, INTERVAL))
         _assert_inside(oracles.hessian(params, radii), oracles.hessian(params, box, INTERVAL))
         _assert_inside(
-            core.lambda_values(params, radii), core.lambda_values(params, box, INTERVAL)
+            oracles.lambda_values(params, radii), oracles.lambda_values(params, box, INTERVAL)
         )
         _assert_inside(
             core.dominance_row_sums(params, radii),

@@ -16,7 +16,6 @@ from spiderweb.solver import (
     build_configuration,
     continue_mass,
     insert_zero_mass_ring,
-    newton_solve,
     solve_single_ring,
 )
 
@@ -62,13 +61,10 @@ def test_single_ring_needs_n1():
 
 
 def test_settings_validation():
-    # nan would pass every comparison; an infinite mass step never shrinks
-    # below its underflow floor
+    # nan would pass every comparison
     for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="newton_tol must be finite and positive"):
             ContinuationSettings(newton_tol=bad)
-        with pytest.raises(ValueError, match="mass_step_init must be finite and positive"):
-            ContinuationSettings(mass_step_init=bad)
     # a fractional cap would reach range() inside the build, and a bool is
     # not a count
     for bad in (2.5, 1.0, True, np.True_, 0, -3):
@@ -84,13 +80,13 @@ def test_settings_validation():
 def test_newton_fixed_point_returns_unchanged():
     p = params1()
     exact = solve_single_ring(p)
-    c = newton_solve(p, exact.radii)
+    c = oracles.newton_solve(p, exact.radii)
     assert c.radii[0] == exact.radii[0]
     assert c.residual_norm <= 1e-12
 
 
 def test_newton_single_ring_from_crude_start():
-    c = newton_solve(params1(), np.array([1.0]))
+    c = oracles.newton_solve(params1(), np.array([1.0]))
     assert c.radii[0] == pytest.approx(4.0 ** (-1.0 / 3.0), rel=1e-12)
 
 
@@ -110,13 +106,13 @@ def test_newton_quadratic_tail():
 def test_newton_diverged_is_reported():
     p = params1()
     with pytest.raises(NewtonDiverged):
-        newton_solve(p, np.array([1e6]), ContinuationSettings(newton_max_iter=2))
+        oracles.newton_solve(p, np.array([1e6]), ContinuationSettings(newton_max_iter=2))
 
 
 def test_newton_validates_start():
     p = SpiderwebParams(2, 4, 0.0, np.ones(2), -1.0)
     with pytest.raises(OrderingViolated):
-        newton_solve(p, np.array([2.0, 1.0]))
+        oracles.newton_solve(p, np.array([2.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +144,7 @@ def test_probe_lambda_monotone_in_each_gap():
 def test_insertion_leaves_existing_lambdas_unchanged():
     p = SpiderwebParams(2, 6, 0.0, np.array([1.0, 2.0]), -1.0)
     c = build_configuration(p)
-    lam_before = core.lambda_values(p, c.radii)
+    lam_before = oracles.lambda_values(p, c.radii)
     ext = insert_zero_mass_ring(c, gap=2)
     lam_after = core._force_per_mass(
         ext, np.append(p.masses, 0.0), p.m0, p.ell, FLOAT64
@@ -302,7 +298,7 @@ def test_continue_mass_matches_direct_newton():
     cont = continue_mass(p, ext, 1.0)
     assert cont.residual_norm <= 1e-12
     p2 = SpiderwebParams(2, 2, 0.0, np.array([1.0, 1.0]), -1.0)
-    direct = newton_solve(p2, np.array([0.55, 1.7]))
+    direct = oracles.newton_solve(p2, np.array([0.55, 1.7]))
     assert np.allclose(cont.radii, direct.radii, rtol=1e-10)
 
 
@@ -365,7 +361,7 @@ def test_continuation_stall_carries_last_good_mass():
 
 def _build_by_public_steps(params, settings, secant=True):
     """The build replayed through the public steps: each ring is inserted
-    with insert_zero_mass_ring and then solved by newton_solve from the
+    with insert_zero_mass_ring and then solved by oracles.newton_solve from the
     secant prediction (from the third ring on, when ``secant``) or by
     continue_mass from the insertion (the constant predictor).  Returns the
     polished radii and their residual norm."""
@@ -376,7 +372,8 @@ def _build_by_public_steps(params, settings, secant=True):
         extended = insert_zero_mass_ring(config, gap=k - 1)
         if secant and delta is not None:
             first_k = SpiderwebParams(k, params.ell, params.m0, params.masses[:k], params.lam)
-            config = newton_solve(first_k, solver._secant_prediction(extended, delta), settings)
+            config = oracles.newton_solve(
+                first_k, solver._secant_prediction(extended, delta), settings)
         else:
             config = continue_mass(config.params, extended, params.masses[k - 1], settings)
         delta = (config.radii - extended) / extended
@@ -426,15 +423,41 @@ def test_secant_prediction_aligns_from_the_outermost_ring():
     assert not solver._in_cone(solver._secant_prediction(r_ins, np.array([0.5, -0.6])))
 
 
-def _count_continued_rings(monkeypatch):
-    real, rings = solver._continue_ring, []
+def _record_ring_solves(monkeypatch, fail=None):
+    """Each Newton solve of the build as (ring count, start, newest ring's
+    mass), the start named "insertion" or "prediction" when it is that very
+    array (the polish start is "other"); the solve (size, start) == ``fail``
+    raises NewtonDiverged instead of running."""
+    insert, predict, newton = solver._insert_ring, solver._secant_prediction, solver._newton_raw
+    latest, solves = {}, []
 
-    def counting(params, *args):
-        rings.append(params.n + 1)
-        return real(params, *args)
+    def inserting(*args):
+        latest["insertion"] = insert(*args)
+        return latest["insertion"]
 
-    monkeypatch.setattr(solver, "_continue_ring", counting)
-    return rings
+    def predicting(*args):
+        latest["prediction"] = predict(*args)
+        return latest["prediction"]
+
+    def solving(r0, masses, *args):
+        start = next((name for name, r in latest.items() if r is r0), "other")
+        solves.append((r0.size, start, masses[-1]))
+        if (r0.size, start) == fail:
+            raise NewtonDiverged("forced failure of the predicted start")
+        return newton(r0, masses, *args)
+
+    monkeypatch.setattr(solver, "_insert_ring", inserting)
+    monkeypatch.setattr(solver, "_secant_prediction", predicting)
+    monkeypatch.setattr(solver, "_newton_raw", solving)
+    return solves
+
+
+def _one_solve_per_ring(params, starts):
+    """The solves of a build with no failed solve: ring k from starts[k],
+    default the prediction, then the polish."""
+    return ([(k, starts.get(k, "prediction"), params.masses[k - 1])
+             for k in range(2, params.n + 1)]
+            + [(params.n, "other", params.masses[-1])])
 
 
 @pytest.mark.parametrize("params", [
@@ -443,32 +466,22 @@ def _count_continued_rings(monkeypatch):
     SpiderwebParams(6, 2, 0.0, np.ones(6), -1.0),
 ], ids=["10-20-m0", "20-40-inv", "6-2"])
 def test_predicted_build_agrees_with_constant_predictor(monkeypatch, params):
-    rings = _count_continued_rings(monkeypatch)
+    solves = _record_ring_solves(monkeypatch)
     built = build_configuration(params)
-    assert rings == [2]
+    monkeypatch.undo()
+    assert solves == _one_solve_per_ring(params, {2: "insertion"})
     _assert_close_to_constant_predictor(built)
 
 
 def test_failed_prediction_falls_back_to_continuation(monkeypatch):
     params = SpiderwebParams(10, 20, 0.0, np.ones(10), -1.0)
-    predict, newton = solver._secant_prediction, solver._newton_raw
-    predicted = {}
-
-    def recording(r_ins, delta):
-        predicted[r_ins.size] = predict(r_ins, delta)
-        return predicted[r_ins.size]
-
-    def failing_at_ring_5(r0, *args):
-        if r0 is predicted.get(5):
-            raise NewtonDiverged("forced failure of the predicted start")
-        return newton(r0, *args)
-
-    monkeypatch.setattr(solver, "_secant_prediction", recording)
-    monkeypatch.setattr(solver, "_newton_raw", failing_at_ring_5)
-    rings = _count_continued_rings(monkeypatch)
+    solves = _record_ring_solves(monkeypatch, fail=(5, "prediction"))
     built = build_configuration(params)
     monkeypatch.undo()
-    assert rings == [2, 5]
+    # ring 5 is solved from its insertion, at the full mass first
+    expected = _one_solve_per_ring(params, {2: "insertion", 5: "insertion"})
+    expected.insert(3, (5, "prediction", 1.0))
+    assert solves == expected
     _assert_close_to_constant_predictor(built)
 
 
@@ -481,23 +494,13 @@ def test_prediction_outside_the_cone_falls_back_to_continuation(monkeypatch):
         return pred[::-1] if r_ins.size == 4 else pred
 
     monkeypatch.setattr(solver, "_secant_prediction", reversed_at_ring_4)
-    rings = _count_continued_rings(monkeypatch)
+    solves = _record_ring_solves(monkeypatch)
     built = build_configuration(params)
     monkeypatch.undo()
-    assert rings == [2, 4]
+    # no solve from the reversed start; ring 4 is solved from its insertion
+    # at the full mass
+    assert solves == _one_solve_per_ring(params, {2: "insertion", 4: "insertion"})
     _assert_close_to_constant_predictor(built)
-
-
-def test_a_small_first_mass_step_skips_the_prediction(monkeypatch):
-    params = SpiderwebParams(4, 6, 0.0, np.ones(4), -1.0)
-    rings = _count_continued_rings(monkeypatch)
-    small = ContinuationSettings(mass_step_init=0.02)
-    built = build_configuration(params, small)
-    assert rings == [2, 3, 4]
-    _assert_close_to_constant_predictor(built, small)
-    rings.clear()
-    build_configuration(params, ContinuationSettings(mass_step_init=1.0))
-    assert rings == [2]
 
 
 def test_build_makes_few_jacobian_evaluations(monkeypatch):
@@ -526,7 +529,7 @@ def test_build_n2_multistart_oracle():
         if start[1] - start[0] < 0.05:
             continue
         try:
-            c = newton_solve(p, start)
+            c = oracles.newton_solve(p, start)
         except NewtonDiverged:
             continue
         assert np.allclose(c.radii, built.radii, rtol=1e-9)
@@ -538,15 +541,8 @@ def test_build_outputs_are_ordered_and_solved():
         c = build_configuration(p)
         assert c.residual_norm <= 1e-12
         assert c.radii[0] > 0 and np.all(np.diff(c.radii) > 0)
-        lam = core.lambda_values(p, c.radii)
+        lam = oracles.lambda_values(p, c.radii)
         assert np.max(np.abs(lam - p.lam)) <= 10 * 1e-12 / np.min(c.radii)
-
-
-def test_build_step_size_independence():
-    p = SpiderwebParams(4, 6, 0.0, np.ones(4), -1.0)
-    a = build_configuration(p, ContinuationSettings(mass_step_init=0.02))
-    b = build_configuration(p, ContinuationSettings(mass_step_init=0.2))
-    assert np.allclose(a.radii, b.radii, rtol=1e-9)
 
 
 def test_continuation_endpoint_agrees_with_direct_solve():
@@ -558,7 +554,7 @@ def test_continuation_endpoint_agrees_with_direct_solve():
         grown = continue_mass(base.params, ext, 1.0)
         full = SpiderwebParams(n_base + 1, ell, 0.0, np.ones(n_base + 1), -1.0)
         start = np.linspace(0.8, 0.8 * (n_base + 1) + 0.3, n_base + 1)
-        direct = newton_solve(full, start)
+        direct = oracles.newton_solve(full, start)
         assert np.allclose(grown.radii, direct.radii, rtol=1e-9)
 
 
@@ -579,7 +575,7 @@ def test_continuation_tries_full_mass_then_falls_back_to_halving(monkeypatch):
     monkeypatch.undo()
     assert tried[:2] == [1.0, 0.5] and tried[-1] == 1.0
     full = SpiderwebParams(5, 8, 0.0, np.ones(5), -1.0)
-    direct = newton_solve(full, np.linspace(0.8, 0.8 * 5 + 0.3, 5))
+    direct = oracles.newton_solve(full, np.linspace(0.8, 0.8 * 5 + 0.3, 5))
     assert np.allclose(grown.radii, direct.radii, rtol=1e-9)
 
 
