@@ -154,6 +154,8 @@ def scan(
     Rows come back in deterministic order (n ascending, ells as given);
     failures are recorded in the row status.  jobs > 1 distributes rows over
     worker processes."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = [
         (n, int(ell), mass_spec, m0, lam, settings)
         for n in range(1, n_max + 1)

@@ -316,6 +316,8 @@ def h_ell_check(ell: int, grid_points: int | None = None) -> HCheckReport:
     """
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
+    if grid_points is not None and grid_points < 1:
+        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     xs = np.linspace(0.0, 1.0, _PRESAMPLE)
     vals = core.h_ell(xs, ell, FLOAT64)
     i_min = int(np.argmin(vals))

@@ -3,13 +3,14 @@
 The build follows an induction on the ring count: the single-ring system has
 a closed-form radius, a new massless ring has a unique equilibrium radius in
 every gap (found by safeguarded Newton on the strictly monotone probe lambda,
-inside a sign bracket), and the new ring is then solved at its target mass
-by damped Newton.  From the third ring on, that solve starts from the secant
-prediction of predictor-corrector continuation: the inserted radii moved by
-the relative displacement the previous ring's mass caused.  The second ring,
-a prediction outside the cone and a prediction whose solve fails continue
-the ring's mass from the zero-mass insertion instead, full mass first and
-halving the step on each failed solve.
+whose limits at the gap's ends make the gap itself the bracket), and the new
+ring is then solved at its target mass by damped Newton.  From the third
+ring on, that solve starts from the secant prediction of predictor-corrector
+continuation: the inserted radii moved by the relative displacement the
+previous ring's mass caused.  The second ring, a prediction outside the cone
+and a prediction whose solve fails continue the ring's mass from the
+zero-mass insertion instead, full mass first and halving the step on each
+failed solve.
 """
 
 from __future__ import annotations
@@ -112,9 +113,10 @@ def _newton_raw(r0, masses, m0, lam, ell, settings: ContinuationSettings):
     Returns (radii, residual_norm, iterations, norm_history).  Steps that
     leave the cone or fail to decrease the residual are rejected by halving
     the damping factor down to 2^-10.  When the residual is pinned at its
-    float evaluation floor (Newton step at rounding scale, no decrease
-    possible), iterates within _STALL_GRACE of the tolerance count as
-    converged; the achieved norm is always reported as is.
+    float evaluation floor (the full Newton step is at rounding scale and
+    does not lower |f|), an iterate within _STALL_GRACE of the tolerance
+    counts as converged at once, before any damped candidate is tried; the
+    achieved norm is always reported as is.
     """
     r = np.asarray(r0, dtype=np.float64).copy()
     f = core._residual_raw(r, masses, m0, lam, ell, FLOAT64)
@@ -133,22 +135,22 @@ def _newton_raw(r0, masses, m0, lam, ell, settings: ContinuationSettings):
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(f"linear solve failed at iterate {it}: {exc}") from exc
         alpha = 1.0
-        accepted = False
-        while alpha >= _ALPHA_MIN:
+        while True:
             cand = r - alpha * step
             if _in_cone(cand):
                 f_cand = core._residual_raw(cand, masses, m0, lam, ell, FLOAT64)
                 n_cand = _norm_inf(f_cand)
                 if n_cand < norm or n_cand <= settings.newton_tol:
-                    accepted = True
                     break
-            alpha *= 0.5
-        if not accepted:
-            if norm <= _STALL_GRACE * settings.newton_tol and at_float_floor(step):
+            # no shorter step can lower |f| when the full one is at rounding scale
+            if (alpha == 1.0 and norm <= _STALL_GRACE * settings.newton_tol
+                    and at_float_floor(step)):
                 return r, norm, it, history
-            raise NewtonDiverged(
-                f"no damping step accepted at iterate {it} (|f| = {norm:.3e})"
-            )
+            alpha *= 0.5
+            if alpha < _ALPHA_MIN:
+                raise NewtonDiverged(
+                    f"no damping step accepted at iterate {it} (|f| = {norm:.3e})"
+                )
         r, f, norm = cand, f_cand, n_cand
         history.append(norm)
     if norm <= settings.newton_tol:
@@ -194,40 +196,34 @@ def _insert_ring(params: SpiderwebParams, r, gap: int, norm: float) -> np.ndarra
 
 
 def _sign_bracket(params: SpiderwebParams, r, gap: int):
-    """(lo, hi) inside the gap with the probe lambda below lam at lo and
-    above it at hi.  Every point of either sign that the search evaluates
-    tightens its end of the bracket; a NaN or zero value never becomes an
-    end."""
-
-    def g(s):
-        return core.probe_ring_lambda(params, r, s) - params.lam
-
-    if gap == params.n:
-        lo_edge = r[-1]
-        lo = None
-        hi = 2.0 * r[-1]
-        for _ in range(_BRACKET_DOUBLINGS):
-            val = g(hi)
-            if val > 0.0:
-                break
-            if val < 0.0:
-                lo = hi
-            hi *= 2.0
-        else:
-            raise BracketError("probe lambda never exceeded lambda in the outer gap")
-        if lo is None:
-            lo, hi = _push_to_sign(g, lo_edge, hi, want_negative=True)
-    else:
-        lo_edge = 0.0 if gap == 0 else r[gap - 1]
-        hi_edge = r[gap]
-        lo, hi = _push_to_sign(g, lo_edge, hi_edge, want_negative=True)
-        if hi == hi_edge:
-            hi, lo = _push_to_sign(g, hi_edge, lo, want_negative=False)
-    return lo, hi
+    """(lo, hi) with the probe lambda below lam just above lo and above it
+    just below hi, so the gap's unique root lies strictly between.  An inner
+    gap is its own bracket: the probe lambda runs from -infinity just outside
+    r_i to +infinity just inside r_{i+1}, and from -infinity at the origin
+    under a central mass.  Without one it tends to +(ell/2) sum_j m_j / r_j^3
+    > 0 > lam there, so gap 0 has no root.  In the outer gap the probe is
+    evaluated at 2 r_n, 4 r_n, ... until it exceeds lam; lo is the last
+    doubling below lam, or r_n.  A NaN or zero value never becomes an end."""
+    if 0 < gap < params.n:
+        return r[gap - 1], r[gap]
+    if gap == 0:
+        if params.m0 > 0.0:
+            return 0.0, r[0]
+        raise BracketError("gap 0 has no equilibrium without a central mass")
+    lo, hi = r[-1], 2.0 * r[-1]
+    for _ in range(_BRACKET_DOUBLINGS):
+        val = core.probe_ring_lambda(params, r, hi) - params.lam
+        if val > 0.0:
+            return lo, hi
+        if val < 0.0:
+            lo = hi
+        hi *= 2.0
+    raise BracketError("probe lambda never exceeded lambda in the outer gap")
 
 
 def _safeguarded_newton(params: SpiderwebParams, r, lo, hi) -> float:
-    """Root of the probe lambda minus lam in the sign bracket (lo, hi).
+    """Root of the probe lambda minus lam in the sign bracket (lo, hi); the
+    ends, which may be a ring or the origin, are never evaluated.
 
     Newton steps on the probe's own slope, each taken only when it lands
     strictly inside the bracket and at most half as long as the previous
@@ -260,33 +256,6 @@ def _safeguarded_newton(params: SpiderwebParams, r, lo, hi) -> float:
     raise BracketError(
         f"insertion did not converge in {_INSERT_MAX_STEPS} steps "
         f"(bracket [{lo:.17g}, {hi:.17g}])"
-    )
-
-
-def _push_to_sign(g, edge, other, want_negative):
-    """Walk from `other` toward `edge` until g has the wanted sign; the probe
-    lambda blows up monotonically toward a true gap edge, so a few quarterings
-    of the distance suffice when the wanted sign is attainable at all.  The
-    walk stops a relative 1e-13 away from the edge, below which cancellation
-    noise amplified by the near-singularity would fake sign changes.
-
-    Returns the point found and the closest point to it that the walk
-    evaluated with the strictly opposite sign (`other` if there was none)."""
-    sign = -1.0 if want_negative else 1.0
-    scale = max(abs(edge), abs(other))
-    t = seen = other
-    for _ in range(_BRACKET_DOUBLINGS):
-        t = edge + 0.25 * (t - edge)
-        if abs(t - edge) < 1e-13 * scale:
-            break
-        val = sign * g(t)
-        if val > 0.0:
-            return t, seen
-        if val < 0.0:
-            seen = t
-    raise BracketError(
-        f"could not bracket a root near radius {edge:.6g}; "
-        "is the input configuration central?"
     )
 
 

@@ -211,11 +211,19 @@ def square_mig_mag(x: Interval) -> Interval:
 def insert_ring_by_bisection(params: SpiderwebParams, radii, gap: int,
                              rel_tol=1e-13) -> float:
     """Radius of the massless ring's equilibrium in ``gap`` (as in
-    ``solver.insert_zero_mass_ring``) by bisection of the probe lambda from
-    the solver's sign bracket down to a width of rel_tol * r_n; the midpoint
-    of the last bracket is returned."""
+    ``solver.insert_zero_mass_ring``) by bisection of the probe lambda down
+    to a width of rel_tol * r_n; the midpoint of the last bracket is
+    returned.  The bracket is the gap's ring radii, (0, r_1) for gap 0 under
+    a central mass, and (r_n, 2^k r_n) in the outer gap, with k the first
+    power at which the probe lambda exceeds lam."""
     r = np.asarray(radii, dtype=np.float64)
-    lo, hi = solver._sign_bracket(params, r, gap)
+    lo = r[gap - 1] if gap > 0 else 0.0
+    if gap < params.n:
+        hi = r[gap]
+    else:
+        hi = 2.0 * lo
+        while not probe_ring_lambda(params, r, hi) > params.lam:
+            hi *= 2.0
     tol = rel_tol * r[-1]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

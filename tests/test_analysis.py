@@ -205,6 +205,13 @@ def test_scan_parallel_matches_serial():
         assert np.array_equal(a.radii, b.radii)
 
 
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_scan_rejects_jobs_below_one_before_building(monkeypatch, jobs):
+    monkeypatch.setattr(solver, "build_configuration", lambda *args: pytest.fail("built"))
+    with pytest.raises(ValueError, match="jobs must be >= 1, got"):
+        scan(1, [3], "equal:1", jobs=jobs)
+
+
 def test_duplicate_scan_rows_reproduce_radii():
     a = scan(2, [6], "equal:1")[-1]
     b = scan(2, [6], "equal:1")[-1]

@@ -461,6 +461,13 @@ def test_h_check_refutes_large_ell(ell):
     assert 0.0 < rep.negative_at < 1.0
 
 
+@pytest.mark.parametrize("grid_points", [0, -5])
+def test_h_check_rejects_grid_points_below_one_before_sampling(monkeypatch, grid_points):
+    monkeypatch.setattr(core, "h_ell", lambda *args: pytest.fail("h_ell evaluated"))
+    with pytest.raises(ValueError, match="grid_points must be >= 1, got"):
+        cz.h_ell_check(7, grid_points)
+
+
 def test_h_lower_bound_verifier_is_sound():
     assert cz.verify_h_lower_bound(10, -0.48)
     # a bound above the true minimum must be rejected

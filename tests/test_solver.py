@@ -109,6 +109,29 @@ def test_newton_diverged_is_reported():
         oracles.newton_solve(p, np.array([1e6]), ContinuationSettings(newton_max_iter=2))
 
 
+def test_newton_at_its_float_floor_stops_after_the_full_step(monkeypatch):
+    config = build_configuration(SpiderwebParams(6, 12, 0.0, np.ones(6), -1.0))
+    p, floor = config.params, config.residual_norm
+    residual, jacobian, calls = core._residual_raw, core._jacobian_raw, []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(core, "_residual_raw", counting("f", residual))
+    monkeypatch.setattr(core, "_jacobian_raw", counting("J", jacobian))
+    # a tolerance between floor / _STALL_GRACE and the floor is met by the
+    # stall exit, not by the residual
+    tol = 0.5 * floor
+    _, norm, _, _ = solver._newton_raw(config.radii, p.masses, p.m0, p.lam, p.ell,
+                                       ContinuationSettings(newton_tol=tol))
+    assert tol < norm <= solver._STALL_GRACE * tol
+    # the last iteration tried the full step and no damped candidate
+    assert "".join(calls).rsplit("J", 1)[1] == "f"
+
+
 def test_newton_validates_start():
     p = SpiderwebParams(2, 4, 0.0, np.ones(2), -1.0)
     with pytest.raises(OrderingViolated):
@@ -211,31 +234,55 @@ def test_insertion_matches_bisection_on_random_instances():
         _assert_insertion_matches_bisection(build_configuration(p))
 
 
-def test_sign_bracket_ends_have_strict_signs_in_every_gap():
+def test_sign_bracket_ends_have_strict_signs_in_every_gap(monkeypatch):
     config = build_configuration(SpiderwebParams(3, 7, 0.5, np.array([1.0, 0.7, 1.8]), -1.0))
     p, r = config.params, config.radii
-    for gap in range(p.n + 1):
-        lo, hi = solver._sign_bracket(p, r, gap)
-        assert core.probe_ring_lambda(p, r, lo) < p.lam < core.probe_ring_lambda(p, r, hi)
+    probe, calls = core.probe_ring_lambda, []
+
+    def counting_probe(*args, **kwargs):
+        calls.append(args[2])
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(core, "probe_ring_lambda", counting_probe)
+    edges = (0.0, *r)
+    for gap in range(p.n):
+        assert solver._sign_bracket(p, r, gap) == (edges[gap], r[gap])
+    assert calls == []
+    lo, hi = solver._sign_bracket(p, r, p.n)
+    assert calls[-1] == hi and probe(p, r, hi) > p.lam
+    assert lo == r[-1] or (lo in calls and probe(p, r, lo) < p.lam)
+    # no central mass: the probe lambda stays above lam in gap 0
+    c0 = build_configuration(SpiderwebParams(3, 7, 0.0, np.array([1.0, 0.7, 1.8]), -1.0))
+    calls.clear()
+    with pytest.raises(BracketError, match="central mass"):
+        solver._sign_bracket(c0.params, c0.radii, 0)
+    assert calls == []
 
 
-def test_push_to_sign_keeps_the_closest_opposite_point_and_skips_nan_and_zero():
-    # the walk from 1 toward 0 evaluates 1/4, 1/16, 1/64, 1/256, ...
-    values = {0.25: 1.0, 0.0625: np.nan, 0.015625: 0.0, 0.00390625: -1.0}
-    assert solver._push_to_sign(values.__getitem__, 0.0, 1.0, want_negative=True) \
-        == (0.00390625, 0.25)
-    # nothing of the opposite sign evaluated: the start point comes back
-    assert solver._push_to_sign(lambda s: np.nan if s > 0.1 else -1.0, 0.0, 1.0,
-                                want_negative=True) == (0.0625, 1.0)
-    # a NaN is no positive value either (the walk from 0 toward 1: 3/4, 15/16)
-    assert solver._push_to_sign(lambda s: np.nan if s < 0.9 else 1.0, 1.0, 0.0,
-                                want_negative=False) == (0.9375, 0.0)
+def test_outer_gap_doubling_keeps_the_last_negative_point_and_skips_nan_and_zero(
+        monkeypatch):
+    config = build_configuration(SpiderwebParams(3, 7, 0.0, np.ones(3), -1.0))
+    p, r = config.params, config.radii
+
+    def probe_values(values):
+        # the doubling evaluates 2 r_n, 4 r_n, 8 r_n, ...: exact multiples
+        monkeypatch.setattr(core, "probe_ring_lambda",
+                            lambda params, radii, s: p.lam + values[s / r[-1]])
+
+    probe_values({2.0: -1.0, 4.0: np.nan, 8.0: 0.0, 16.0: 1.0})
+    assert solver._sign_bracket(p, r, p.n) == (2.0 * r[-1], 16.0 * r[-1])
+    # nothing negative evaluated: the bracket starts at r_n itself
+    probe_values({2.0: np.nan, 4.0: 0.0, 8.0: 1.0})
+    assert solver._sign_bracket(p, r, p.n) == (r[-1], 8.0 * r[-1])
+    probe_values(dict.fromkeys(2.0 ** np.arange(1, solver._BRACKET_DOUBLINGS + 1), -1.0))
+    with pytest.raises(BracketError, match="outer gap"):
+        solver._sign_bracket(p, r, p.n)
 
 
 @pytest.mark.parametrize("n, ell, masses, bound", [
-    (10, 20, np.ones, 13),
-    (40, 80, np.ones, 13),
-    (40, 80, lambda n: 1.0 / np.arange(1, n + 1), 16),
+    (10, 20, np.ones, 12),
+    (40, 80, np.ones, 12),
+    (40, 80, lambda n: 1.0 / np.arange(1, n + 1), 13),
 ], ids=["10-20", "40-80", "40-80-inv"])
 def test_build_makes_few_probe_evaluations_per_ring(monkeypatch, n, ell, masses, bound):
     probe, insert = core.probe_ring_lambda, solver._insert_ring
