@@ -255,7 +255,12 @@ def certify(config: Configuration, rho_star_init: float | None = None) -> Certif
             SINGULAR_JACOBIAN, f"float Jacobian not invertible: {exc}"
         ) from exc
     # one interval pass over the pair kernels at the center feeds Y0 and Z0
-    f, df = core.residual_and_jacobian(params, Interval.point(center), INTERVAL)
+    try:
+        f, df = core.residual_and_jacobian(params, Interval.point(center), INTERVAL)
+    except (intervals.NegativeSqrt, intervals.DivisionByZeroInterval) as exc:
+        raise CertificationFailed(
+            NON_FINITE_BOUND, f"interval evaluation at the center failed: {exc}"
+        ) from exc
     y0 = bound_Y0(a, center, params, f=f)
     z0 = bound_Z0(a, center, params, jac=df)
     if z0 >= 1.0:

@@ -4,13 +4,14 @@ The build follows an induction on the ring count: the single-ring system has
 a closed-form radius, a new massless ring has a unique equilibrium radius in
 every gap (found by safeguarded Newton on the strictly monotone probe lambda,
 whose limits at the gap's ends make the gap itself the bracket), and the new
-ring is then solved at its target mass by damped Newton.  From the third
-ring on, that solve starts from the secant prediction of predictor-corrector
-continuation: the inserted radii moved by the relative displacement the
-previous ring's mass caused.  The second ring, a prediction outside the cone
-and a prediction whose solve fails continue the ring's mass from the
-zero-mass insertion instead, full mass first and halving the step on each
-failed solve.
+ring is then solved at its target mass by one damped Newton solve.  From the
+third ring on, that solve starts from the secant prediction of
+predictor-corrector continuation: the inserted radii moved by the relative
+displacement the previous ring's mass caused.  The second ring, a prediction
+outside the cone and a prediction whose solve fails are solved from the
+zero-mass insertion instead; when that solve fails too, the build stops with
+``ContinuationStalled``.  Newton stops at the float floor of the residual,
+where no step can lower |f|, and reports the norm it reached.
 """
 
 from __future__ import annotations
@@ -47,16 +48,9 @@ _BRACKET_DOUBLINGS = 60
 # gives up after twice the bisections from a 2^60 r_n bracket down to it
 _INSERT_REL_TOL = 1e-13
 _INSERT_MAX_STEPS = 200
-# mass-step factors after a failed and after a fast (<= 3 iterations) solve
-_STEP_SHRINK = 0.5
-_STEP_GROW = 2.0
-# mass steps, failed ones included, that one ring's continuation may take
-_MASS_STEPS_PER_RING = 1000
-# stagnation escape: when the Newton step is below this relative size the
-# radii are converged to rounding level and the residual is pinned at its
-# float evaluation floor, so accept within a small grace factor of the tol
+# float floor: a Newton step at most this size relative to the radii moves
+# them near rounding level, so when it does not lower |f| no shorter one will
 _STALL_STEP_REL = 2.0**-40
-_STALL_GRACE = 8.0
 
 
 class SolverError(RuntimeError):
@@ -84,8 +78,9 @@ class BracketError(SolverError):
 @dataclass
 class ContinuationSettings:
     """Tolerance and iteration cap of every damped Newton solve.  The mass
-    continuation has no knob: it first adds the whole ring in one solve and
-    halves the mass step only when a solve fails."""
+    continuation has no knob: each ring is added at its whole mass by one
+    solve from the secant prediction or the zero-mass insertion, and by one
+    more from the insertion when the first fails."""
 
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
@@ -113,10 +108,10 @@ def _newton_raw(r0, masses, m0, lam, ell, settings: ContinuationSettings):
     Returns (radii, residual_norm, iterations, norm_history).  Steps that
     leave the cone or fail to decrease the residual are rejected by halving
     the damping factor down to 2^-10.  When the residual is pinned at its
-    float evaluation floor (the full Newton step is at rounding scale and
-    does not lower |f|), an iterate within _STALL_GRACE of the tolerance
-    counts as converged at once, before any damped candidate is tried; the
-    achieved norm is always reported as is.
+    float evaluation floor (the full Newton step is at most _STALL_STEP_REL
+    of the radii and does not lower |f|), the iterate is returned at once,
+    before any damped candidate is tried, with the norm it achieved, which
+    may lie above ``newton_tol``.
     """
     r = np.asarray(r0, dtype=np.float64).copy()
     f = core._residual_raw(r, masses, m0, lam, ell, FLOAT64)
@@ -124,7 +119,7 @@ def _newton_raw(r0, masses, m0, lam, ell, settings: ContinuationSettings):
     history = [norm]
 
     def at_float_floor(step):
-        return _norm_inf(step) <= _STALL_STEP_REL * max(1.0, _norm_inf(r))
+        return _norm_inf(step) <= _STALL_STEP_REL * _norm_inf(r)
 
     for it in range(settings.newton_max_iter):
         if norm <= settings.newton_tol:
@@ -143,8 +138,7 @@ def _newton_raw(r0, masses, m0, lam, ell, settings: ContinuationSettings):
                 if n_cand < norm or n_cand <= settings.newton_tol:
                     break
             # no shorter step can lower |f| when the full one is at rounding scale
-            if (alpha == 1.0 and norm <= _STALL_GRACE * settings.newton_tol
-                    and at_float_floor(step)):
+            if alpha == 1.0 and at_float_floor(step):
                 return r, norm, it, history
             alpha *= 0.5
             if alpha < _ALPHA_MIN:
@@ -182,15 +176,16 @@ def insert_zero_mass_ring(config: Configuration, gap: int) -> np.ndarray:
     n = params.n
     if not 0 <= gap <= n:
         raise ValueError(f"gap must be in 0..{n}, got {gap}")
-    return _insert_ring(params, r, gap, _norm_inf(core.residual(params, r, FLOAT64)))
-
-
-def _insert_ring(params: SpiderwebParams, r, gap: int, norm: float) -> np.ndarray:
-    """insert_zero_mass_ring on cone radii r whose residual norm is ``norm``."""
+    norm = _norm_inf(core.residual(params, r, FLOAT64))
     if norm > 1e-8:
         raise SolverError(
             f"insertion requires a solved configuration, |f| = {norm:.3e}"
         )
+    return _insert_ring(params, r, gap)
+
+
+def _insert_ring(params: SpiderwebParams, r, gap: int) -> np.ndarray:
+    """insert_zero_mass_ring on cone radii r, taken to solve the system."""
     lo, hi = _sign_bracket(params, r, gap)
     return np.insert(r, gap, _safeguarded_newton(params, r, lo, hi))
 
@@ -268,8 +263,9 @@ def continue_mass(
     """Continue the appended ring's mass from zero to target_mass > 0.
 
     ``params`` describes the n base rings; ``radii`` has n+1 entries and must
-    solve the system at zero appended mass.  Constant predictor, damped
-    Newton corrector, adaptive mass step (the full mass first, halved on failure).
+    solve the system at zero appended mass.  One damped Newton solve at the
+    full mass from these radii (constant predictor); its failure raises
+    ``ContinuationStalled`` with ``last_good_mass`` 0.
     """
     settings = settings or ContinuationSettings()
     r = require_cone(radii)
@@ -291,50 +287,34 @@ def _continue_ring(params: SpiderwebParams, r, target_mass, settings,
                    start=None) -> Configuration:
     """continue_mass on cone radii r that solve the zero-mass system.  A
     ``start`` in the cone is tried first, by one Newton solve at the full
-    mass; when that solve fails, the mass is continued from r."""
+    mass; without one, or when that solve fails, one solve at the full mass
+    starts from r.  When that fails too, ``ContinuationStalled`` names the
+    Newton failure and chains it."""
     # the validated constructor rejects a target mass that is not finite and > 0
-    target_mass = float(target_mass)
     extended = SpiderwebParams(
         params.n + 1, params.ell, params.m0,
-        np.append(params.masses, target_mass), params.lam,
+        np.append(params.masses, float(target_mass)), params.lam,
     )
+
+    def solve(r0):
+        r_new, norm, _, _ = _newton_raw(
+            r0, extended.masses, params.m0, params.lam, params.ell, settings
+        )
+        return Configuration(extended, r_new, norm)
+
     if start is not None and _in_cone(start):
         try:
-            r_new, norm, _, _ = _newton_raw(
-                start, extended.masses, params.m0, params.lam, params.ell, settings
-            )
-            return Configuration(extended, r_new, norm)
+            return solve(start)
         except (NewtonDiverged, SingularJacobian):
             pass
-
-    step = target_mass
-    m_cur = 0.0
-    steps = 0
-    while m_cur < target_mass:
-        if steps == _MASS_STEPS_PER_RING:
-            raise ContinuationStalled(
-                f"{steps} mass steps reached mass {m_cur:.6g} of {target_mass:.6g}",
-                last_good_mass=m_cur,
-            )
-        steps += 1
-        m_try = min(target_mass, m_cur + step)
-        try:
-            r_new, norm, iters, _ = _newton_raw(
-                r, np.append(params.masses, m_try), params.m0, params.lam, params.ell,
-                settings,
-            )
-        except (NewtonDiverged, SingularJacobian):
-            step *= _STEP_SHRINK
-            if step < target_mass * 1e-12:
-                raise ContinuationStalled(
-                    f"mass step underflow at mass {m_cur:.6g} of {target_mass:.6g}",
-                    last_good_mass=m_cur,
-                ) from None
-            continue
-        r, m_cur = r_new, m_try
-        if iters <= 3:
-            step *= _STEP_GROW
-    return Configuration(extended, r, norm)
+    try:
+        return solve(r)
+    except (NewtonDiverged, SingularJacobian) as exc:
+        raise ContinuationStalled(
+            f"Newton solve at mass {extended.masses[-1]:.6g} from the zero-mass "
+            f"insertion failed: {exc}",
+            last_good_mass=0.0,
+        ) from exc
 
 
 def _secant_prediction(r_ins, delta):
@@ -356,19 +336,19 @@ def build_configuration(
     From the third ring on, that solve starts from the secant prediction:
     the inserted radii moved by the relative displacement the previous
     ring's mass caused.  The second ring, and a ring whose prediction leaves
-    the cone or whose predicted solve fails, is continued from the zero-mass
-    insertion with mass halving, as ``continue_mass`` does."""
+    the cone or whose predicted solve fails, is solved from the zero-mass
+    insertion, as ``continue_mass`` does.  The last ring's solve is a solve
+    of the full system, so its radii and residual norm are the result."""
     settings = settings or ContinuationSettings()
     base = SpiderwebParams(1, params.ell, params.m0, params.masses[:1], params.lam)
     config = solve_single_ring(base)
     delta = None
     for k in range(2, params.n + 1):
-        # config is the solver's own output and carries |f| of its radii; a
-        # massless ring inserted into a solved system solves the zero-mass
-        # one, so neither residual is evaluated again
+        # config is the solver's own output, solved down to its tolerance or
+        # its float floor, and a massless ring inserted into it solves the
+        # zero-mass system, so neither residual is checked again
         try:
-            extended = _insert_ring(config.params, config.radii, k - 1,
-                                    config.residual_norm)
+            extended = _insert_ring(config.params, config.radii, k - 1)
             start = None if delta is None else _secant_prediction(extended, delta)
             config = _continue_ring(config.params, extended, params.masses[k - 1],
                                     settings, start)
@@ -377,8 +357,4 @@ def build_configuration(
             exc.args = (f"construction failed while adding ring {k}: {exc}",)
             raise
         delta = (config.radii - extended) / extended
-    # polish once at the full system so the residual is not merely inherited
-    r, norm, _, _ = _newton_raw(
-        config.radii, params.masses, params.m0, params.lam, params.ell, settings
-    )
-    return Configuration(params, r, norm)
+    return Configuration(params, config.radii, config.residual_norm)

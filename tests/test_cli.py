@@ -217,6 +217,16 @@ def test_non_finite_bound_exit_code(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         assert run(["certify", "--input", out]) == EXIT_CERTIFICATION
         assert "NON_FINITE_BOUND" in json.loads(capsys.readouterr().err)["message"]
+    monkeypatch.undo()
+    # masses of 1e-300 put the radii near 1e-100, where the interval pass at
+    # the center divides by an interval that contains zero
+    tiny = tmp_path / "tiny.json"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert run(["solve", "--n", 3, "--ell", 6, "--masses", "1e-300,1e-300,1e-300",
+                    "--out", tiny]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["certify", "--input", tiny]) == EXIT_CERTIFICATION
+    assert "NON_FINITE_BOUND" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_overflowing_interval_product_exits_non_finite(tmp_path, capsys, monkeypatch):

@@ -122,12 +122,12 @@ def test_newton_at_its_float_floor_stops_after_the_full_step(monkeypatch):
 
     monkeypatch.setattr(core, "_residual_raw", counting("f", residual))
     monkeypatch.setattr(core, "_jacobian_raw", counting("J", jacobian))
-    # a tolerance between floor / _STALL_GRACE and the floor is met by the
-    # stall exit, not by the residual
-    tol = 0.5 * floor
+    # a tolerance far below the floor is never met: the solve returns at the
+    # floor and reports the norm it reached
+    tol = 1e-30
     _, norm, _, _ = solver._newton_raw(config.radii, p.masses, p.m0, p.lam, p.ell,
                                        ContinuationSettings(newton_tol=tol))
-    assert tol < norm <= solver._STALL_GRACE * tol
+    assert tol < norm <= floor
     # the last iteration tried the full step and no damped candidate
     assert "".join(calls).rsplit("J", 1)[1] == "f"
 
@@ -373,14 +373,15 @@ def test_continuation_stalls_with_unreachable_tolerance():
         continue_mass(p, ext, 1.0, hard)
 
 
-def test_continuation_stalls_at_its_mass_step_budget():
-    # one Newton iteration per mass step crawls: every step must reach the
-    # tolerance at once, so the mass steps run out long before the mass does
+def test_continuation_stalls_when_one_newton_iteration_cannot_add_a_ring():
+    # the second ring is solved from its insertion only, at the full mass; one
+    # iteration does not reach the tolerance, and no smaller mass is tried
     p = SpiderwebParams(3, 6, 0.0, np.ones(3), -1.0)
-    with pytest.raises(ContinuationStalled, match="1000 mass steps") as excinfo:
+    with pytest.raises(ContinuationStalled, match="ring 2: .*after 1 iterations") as excinfo:
         build_configuration(p, ContinuationSettings(newton_max_iter=1))
-    assert 0.0 < excinfo.value.last_good_mass < 1.0
+    assert excinfo.value.last_good_mass == 0.0
     assert excinfo.value.ring_index == 2
+    assert isinstance(excinfo.value.__cause__, NewtonDiverged)
 
 
 def test_continuation_stall_carries_last_good_mass():
@@ -411,7 +412,7 @@ def _build_by_public_steps(params, settings, secant=True):
     with insert_zero_mass_ring and then solved by oracles.newton_solve from the
     secant prediction (from the third ring on, when ``secant``) or by
     continue_mass from the insertion (the constant predictor).  Returns the
-    polished radii and their residual norm."""
+    radii and the residual norm of the last ring's solve."""
     config = solve_single_ring(
         SpiderwebParams(1, params.ell, params.m0, params.masses[:1], params.lam))
     delta = None
@@ -424,9 +425,7 @@ def _build_by_public_steps(params, settings, secant=True):
         else:
             config = continue_mass(config.params, extended, params.masses[k - 1], settings)
         delta = (config.radii - extended) / extended
-    r, norm, _, _ = solver._newton_raw(config.radii, params.masses, params.m0,
-                                       params.lam, params.ell, settings)
-    return r, norm
+    return config.radii, config.residual_norm
 
 
 def _assert_close_to_constant_predictor(built, settings=None):
@@ -436,10 +435,10 @@ def _assert_close_to_constant_predictor(built, settings=None):
 
 
 def test_build_skips_residual_rechecks_and_keeps_radii(monkeypatch):
-    """The build reuses the residual norms it holds instead of evaluating
-    them again in the public insertion and continuation steps, and solves
-    each ring from the same secant prediction; the radii are those of the
-    public steps bit for bit."""
+    """The build skips the residual checks that the public insertion and
+    continuation steps make on input from outside, and solves each ring from
+    the same secant prediction; the radii are those of the public steps bit
+    for bit."""
     params = SpiderwebParams(10, 20, 0.3, np.linspace(1.0, 2.0, 10), -1.0)
     settings = ContinuationSettings()
     real = core._residual_raw
@@ -473,8 +472,8 @@ def test_secant_prediction_aligns_from_the_outermost_ring():
 def _record_ring_solves(monkeypatch, fail=None):
     """Each Newton solve of the build as (ring count, start, newest ring's
     mass), the start named "insertion" or "prediction" when it is that very
-    array (the polish start is "other"); the solve (size, start) == ``fail``
-    raises NewtonDiverged instead of running."""
+    array, else "other"; the solve (size, start) == ``fail`` raises
+    NewtonDiverged instead of running."""
     insert, predict, newton = solver._insert_ring, solver._secant_prediction, solver._newton_raw
     latest, solves = {}, []
 
@@ -501,10 +500,9 @@ def _record_ring_solves(monkeypatch, fail=None):
 
 def _one_solve_per_ring(params, starts):
     """The solves of a build with no failed solve: ring k from starts[k],
-    default the prediction, then the polish."""
-    return ([(k, starts.get(k, "prediction"), params.masses[k - 1])
-             for k in range(2, params.n + 1)]
-            + [(params.n, "other", params.masses[-1])])
+    default the prediction."""
+    return [(k, starts.get(k, "prediction"), params.masses[k - 1])
+            for k in range(2, params.n + 1)]
 
 
 @pytest.mark.parametrize("params", [
@@ -525,7 +523,7 @@ def test_failed_prediction_falls_back_to_continuation(monkeypatch):
     solves = _record_ring_solves(monkeypatch, fail=(5, "prediction"))
     built = build_configuration(params)
     monkeypatch.undo()
-    # ring 5 is solved from its insertion, at the full mass first
+    # ring 5 is solved from its insertion, at the full mass
     expected = _one_solve_per_ring(params, {2: "insertion", 5: "insertion"})
     expected.insert(3, (5, "prediction", 1.0))
     assert solves == expected
@@ -605,25 +603,39 @@ def test_continuation_endpoint_agrees_with_direct_solve():
         assert np.allclose(grown.radii, direct.radii, rtol=1e-9)
 
 
-def test_continuation_tries_full_mass_then_falls_back_to_halving(monkeypatch):
+def test_failed_solve_from_the_insertion_stalls_with_the_newton_error(monkeypatch):
     base = build_configuration(SpiderwebParams(4, 8, 0.0, np.ones(4), -1.0))
     ext = insert_zero_mass_ring(base, gap=4)
-    real = solver._newton_raw
     tried = []
 
-    def full_step_fails(r0, masses, *args):
+    def full_mass_fails(r0, masses, *args):
         tried.append(masses[-1])
-        if len(tried) == 1:
-            raise NewtonDiverged("forced failure of the full-mass step")
-        return real(r0, masses, *args)
+        raise NewtonDiverged("forced failure of the full-mass solve")
 
-    monkeypatch.setattr(solver, "_newton_raw", full_step_fails)
-    grown = continue_mass(base.params, ext, 1.0)
-    monkeypatch.undo()
-    assert tried[:2] == [1.0, 0.5] and tried[-1] == 1.0
-    full = SpiderwebParams(5, 8, 0.0, np.ones(5), -1.0)
-    direct = oracles.newton_solve(full, np.linspace(0.8, 0.8 * 5 + 0.3, 5))
-    assert np.allclose(grown.radii, direct.radii, rtol=1e-9)
+    monkeypatch.setattr(solver, "_newton_raw", full_mass_fails)
+    with pytest.raises(ContinuationStalled, match="forced failure") as excinfo:
+        continue_mass(base.params, ext, 1.0)
+    # one solve at the full mass, and no smaller mass tried after it
+    assert tried == [1.0]
+    assert excinfo.value.last_good_mass == 0.0
+    assert isinstance(excinfo.value.__cause__, NewtonDiverged)
+
+
+@pytest.mark.parametrize("n, ell, mass, lam", [
+    (6, 12, 1e12, -1.0),
+    (5, 12, 1e24, -1.0),
+    (6, 12, 1.0, -1e12),
+], ids=["masses-1e12", "masses-1e24", "lambda-1e12"])
+def test_build_accepts_the_float_floor_and_certifies(n, ell, mass, lam):
+    # the residual's float floor lies above the default tolerance in all
+    # three, and in the last two above the absolute 1e-8 that the public
+    # insertion checks
+    from spiderweb import certify as cz
+
+    config = build_configuration(SpiderwebParams(n, ell, 0.0, np.full(n, mass), lam))
+    assert config.radii[0] > 0 and np.all(np.diff(config.radii) > 0)
+    cert = cz.certify(config)
+    assert cert.rho0 / config.radii[0] <= 1e-12
 
 
 def test_build_matches_high_precision_oracle():
