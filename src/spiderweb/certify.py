@@ -5,20 +5,14 @@ inverse of the float Jacobian, interval arithmetic yields bounds
 
     Y0 >= ||A f(r)||_inf,
     Z0 >= ||Id - A Df(r)||_inf,
-    Z2 >= sup over the rho*-ball of ||A D^2f||, folded row-wise,
+    Z2 >= sup over the rho*-ball of max_i sum_{l,j} |sum_m A_im d^2_{lj} f_m|,
 
 and a root of p(rho) = Z2 rho^2 - (1 - Z0) rho + Y0 with p(rho0) < 0 (checked
 again in interval arithmetic) proves that A is invertible and that a unique
 true configuration lies within rho0 of the numerical one.
 
-At most 3n^2 - 2n of the n^3 Hessian entries are nonzero, held in the parts
-(diag, M = t_mixed, t_outer) of core.hessian_parts.  With T = t_outer carrying
-diag on its diagonal, row i of the Z2 fold is
-
-    sum_l |sum_m A_im T[m, l]| + sum_{l != j} |A_il M[l, j] + A_ij M[j, l]|,
-
-which costs O(n^3) time and, in the row blocks of core.row_blocks, O(n^2 *
-block) memory, against O(n^4) and O(n^3) for a fold over the dense tensor.
+Z2 is bounded by the triangle inequality as max_i (|A| h)_i, where h_m is the
+row mass sum_{l,j} |d^2_{lj} f_m| of the interval Hessian on the ball.
 
 The module also carries the computer-assisted positivity check of the
 row-dominance kernel h_ell on [0, 1] (rigorous slope bound plus a verified
@@ -142,13 +136,9 @@ def _require_rho_star(rho_star: float, name: str = "rho_star"):
 
 def bound_Z2(a: np.ndarray, center, params: SpiderwebParams, rho_star: float) -> float:
     """Rigorous upper bound, uniform over the rho*-ball, of
-    max_i sum_{l,j} |sum_m A_im d^2_{lj} f_m|, the row-folded Hessian norm.
-
-    The fold runs over the Hessian's parts, never over the (n, n, n) tensor:
-    row i is sum_l |sum_m A_im T[m, l]| + sum_{l != j} |A_il M[l, j] + A_ij M[j, l]|
-    (see the module docstring), and the magnitudes of its n^2 entries go into
-    one upward-rounded pairwise sum.  Rows are folded in the row blocks of
-    core.row_blocks, in O(n^3) time and O(n^2 * block) memory."""
+    max_i sum_{l,j} |sum_m A_im d^2_{lj} f_m|: the triangle bound max_i (|A| h)_i
+    with h_m = |diag_m| + sum_{j != m} (2 |t_mixed[m, j]| + |t_outer[m, j]|),
+    the row mass of the Hessian's parts, every sum rounded upward."""
     center = require_cone(center)
     _require_rho_star(rho_star)
     a = np.asarray(a, dtype=np.float64)
@@ -167,17 +157,10 @@ def bound_Z2(a: np.ndarray, center, params: SpiderwebParams, rho_star: float) ->
         "Z2", "Hessian enclosure",
         diag.lo, diag.hi, t_mixed.lo, t_mixed.hi, t_outer.lo, t_outer.hi,
     )
-    n = a.shape[0]
-    idx = np.arange(n)
-    t = INTERVAL.where(np.eye(n, dtype=bool), diag[:, None], t_outer)
-    totals = np.empty(n)
-    for rows in core.row_blocks(n, n * n):
-        a_rows = Interval.point(a[rows])
-        mags = (a_rows[:, :, None] * t_mixed + a_rows[:, None, :] * t_mixed.T).mag()
-        mags[:, idx, idx] = intervals.matmul(a[rows], t).mag()
-        totals[rows] = intervals.pairwise_sum(
-            mags.reshape(mags.shape[0], -1), axis=1, rounder=intervals.up
-        )
+    mass = intervals.up(2.0 * t_mixed.mag() + t_outer.mag())
+    np.fill_diagonal(mass, diag.mag())
+    h = intervals.pairwise_sum(mass, axis=1, rounder=intervals.up)
+    totals = intervals.matmul(np.abs(a), Interval.point(h)).hi
     _require_finite("Z2", "row totals", totals)
     return float(np.max(totals))
 

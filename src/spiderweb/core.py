@@ -270,7 +270,7 @@ def _spoke_distances_sq_h(x, ell, kind):
 def row_blocks(n, row_elems):
     """Slices cutting n rows of row_elems elements into blocks of at most
     _BLOCK_ELEMS elements (one row at least): the one memory layout of the
-    pair kernels and of certify's Z2 fold, which compute each row alone."""
+    pair kernels, which compute each row alone."""
     step = max(1, _BLOCK_ELEMS // max(1, row_elems))
     return [slice(start, start + step) for start in range(0, n, step)]
 

@@ -8,7 +8,7 @@ only outward rounding in the package.  :func:`matmul` is its one point-matrix
 product.  Scalars are 0-d arrays.
 
 A point is an interval whose ``lo is hi`` (:meth:`Interval.point`; indexing
-and ``.T`` keep it).  Products and quotients take the fewest endpoint
+keeps it).  Products and quotients take the fewest endpoint
 operations that give the endpoints of the four-product form (Rump, "Fast and
 parallel interval arithmetic", BIT 39, 1999): two products when a factor is a
 point, ``[lo*lo, hi*hi]`` when both factors are nonnegative, two quotients
@@ -195,11 +195,6 @@ class Interval:
     def __getitem__(self, idx):
         lo = self.lo[idx]
         return Interval._make(lo, lo if self.lo is self.hi else self.hi[idx])
-
-    @property
-    def T(self):
-        lo = self.lo.T
-        return Interval._make(lo, lo if self.lo is self.hi else self.hi.T)
 
     def mag(self):
         """Exact upper bound of |x| over the interval."""

@@ -66,9 +66,7 @@ class SingularJacobian(SolverError):
 
 
 class ContinuationStalled(SolverError):
-    def __init__(self, message, last_good_mass=None):
-        super().__init__(message)
-        self.last_good_mass = last_good_mass
+    pass
 
 
 class BracketError(SolverError):
@@ -161,6 +159,8 @@ def solve_single_ring(params: SpiderwebParams) -> Configuration:
         raise ValueError(f"solve_single_ring needs n = 1, got n = {params.n}")
     z = float(core.zeta(params.ell, FLOAT64))
     r1 = np.cbrt((params.masses[0] * z / (2.0 * np.sqrt(2.0)) + params.m0) / (-params.lam))
+    if not (np.isfinite(r1) and r1 > 0.0):
+        raise SolverError(f"closed-form radius {r1} is not finite and positive")
     radii = np.array([r1])
     norm = _norm_inf(core.residual(params, radii, FLOAT64))
     return Configuration(params, radii, norm)
@@ -265,7 +265,7 @@ def continue_mass(
     ``params`` describes the n base rings; ``radii`` has n+1 entries and must
     solve the system at zero appended mass.  One damped Newton solve at the
     full mass from these radii (constant predictor); its failure raises
-    ``ContinuationStalled`` with ``last_good_mass`` 0.
+    ``ContinuationStalled``.
     """
     settings = settings or ContinuationSettings()
     r = require_cone(radii)
@@ -312,8 +312,7 @@ def _continue_ring(params: SpiderwebParams, r, target_mass, settings,
     except (NewtonDiverged, SingularJacobian) as exc:
         raise ContinuationStalled(
             f"Newton solve at mass {extended.masses[-1]:.6g} from the zero-mass "
-            f"insertion failed: {exc}",
-            last_good_mass=0.0,
+            f"insertion failed: {exc}"
         ) from exc
 
 

@@ -110,6 +110,12 @@ def test_Z2_weakly_decreasing_in_rho_star():
     assert z_small <= z_big
 
 
+# The exact row fold is at most the exact triangle bound Z2; where the two are
+# equal (the A_im H_mlj of a row share their signs), the upward-rounded fold
+# may still exceed Z2 by rounding (at most 0.93 ulp relative in these cases).
+_FOLD_ROUNDING = 1e-15
+
+
 def _dense_Z2_oracle(a, center, params, rho_star):
     """The row fold over the dense (n, n, n) interval Hessian, O(n^4)."""
     hess = oracles.hessian(params, cz._ball_box(np.asarray(center), rho_star), core.INTERVAL)
@@ -120,6 +126,13 @@ def _dense_Z2_oracle(a, center, params, rho_star):
             row.mag().reshape(-1), axis=0, rounder=lambda x: np.nextafter(x, np.inf)
         ))
     return float(np.max(totals))
+
+
+def _dense_triangle_oracle(a, center, params, rho_star):
+    """max_i sum_m |A_im| sum_{l,j} |H_mlj| over the dense interval Hessian."""
+    hess = oracles.hessian(params, cz._ball_box(np.asarray(center), rho_star), core.INTERVAL)
+    row_mass = hess.mag().reshape(a.shape[0], -1).sum(axis=1)
+    return float(np.max(np.abs(a) @ row_mass))
 
 
 def _random_Z2_case(rng, n):
@@ -135,26 +148,32 @@ def _random_Z2_case(rng, n):
 
 
 def test_Z2_matches_dense_fold_oracle():
+    # Z2 is the triangle bound of the dense Hessian, and not below its fold
     rng = np.random.default_rng(2024)
     for n in range(1, 7):
         for _ in range(6):
             a, radii, params = _random_Z2_case(rng, n)
             for rho_star in (1e-9, 1e-6, 1e-3):
                 z2 = cz.bound_Z2(a, radii, params, rho_star)
-                oracle = _dense_Z2_oracle(a, radii, params, rho_star)
+                oracle = _dense_triangle_oracle(a, radii, params, rho_star)
                 assert z2 == pytest.approx(oracle, rel=1e-12, abs=0.0)
+                assert _dense_Z2_oracle(a, radii, params, rho_star) <= z2 * (1.0 + _FOLD_ROUNDING)
 
 
 def test_Z2_blocked_fold_matches_one_pass(monkeypatch):
     rng = np.random.default_rng(7)
     a, radii, params = _random_Z2_case(rng, 5)
     one_pass = cz.bound_Z2(a, radii, params, 1e-6)
-    # blocks of 2, 1 and 1 (the floor) rows of the 5
-    for elems in (2 * 25 + 7, 25, 3):
+    fold = _dense_Z2_oracle(a, radii, params, 1e-6)
+    # Hessian parts in blocks of 2, 1 and 1 (the floor) rows of the 5
+    for elems in (2 * 5 * params.ell + 7, 5 * params.ell, 3):
         monkeypatch.setattr(core, "_BLOCK_ELEMS", elems)
         blocked = cz.bound_Z2(a, radii, params, 1e-6)
         assert blocked == pytest.approx(one_pass, rel=1e-12, abs=0.0)
-        assert blocked == pytest.approx(_dense_Z2_oracle(a, radii, params, 1e-6), rel=1e-12)
+        assert blocked == pytest.approx(
+            _dense_triangle_oracle(a, radii, params, 1e-6), rel=1e-12, abs=0.0
+        )
+        assert fold <= blocked * (1.0 + _FOLD_ROUNDING)
 
 
 def test_certify_never_builds_the_dense_hessian():
@@ -346,8 +365,8 @@ def _poison(real, index, part=None):
     return wrapped, calls
 
 
-# one entry of each Hessian part: diag, t_mixed (a diagonal entry, which the
-# fold never reads, must fail closed too) and t_outer
+# one entry of each Hessian part: diag, t_mixed (a diagonal entry, which Z2
+# never reads, must fail closed too) and t_outer
 _HESSIAN_POISON = [(0, (1,)), (1, (0, 2)), (1, (1, 1)), (2, (2, 1))]
 
 

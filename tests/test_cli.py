@@ -181,6 +181,15 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     code = run(["solve", "--n", 2, "--ell", 4, "--masses", "equal:1",
                 "--tol", 1e-30, "--out", tmp_path / "x.json"])
     assert code == EXIT_SOLVER
+    # m1 / |lambda| = 1e310 overflows the closed-form r1: a solver failure
+    # too, not invalid input
+    capsys.readouterr()
+    with np.errstate(over="ignore"):
+        code = run(["solve", "--n", 3, "--ell", 6, "--masses", "equal:1e10",
+                    "--lambda=-1e-300", "--out", tmp_path / "y.json"])
+    assert code == EXIT_SOLVER
+    assert json.loads(capsys.readouterr().err)["error"] == "SolverError"
+    assert not (tmp_path / "y.json").exists()
 
 
 def test_detached_certificate_center_is_rejected(tmp_path, capsys):
