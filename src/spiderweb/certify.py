@@ -15,8 +15,9 @@ Z2 is bounded by the triangle inequality as max_i (|A| h)_i, where h_m is the
 row mass sum_{l,j} |d^2_{lj} f_m| of the interval Hessian on the ball.
 
 The module also carries the computer-assisted positivity check of the
-row-dominance kernel h_ell on [0, 1] (rigorous slope bound plus a verified
-grid) and the strict diagonal-dominance check of the Jacobian.
+row-dominance kernel h_ell on [0, 1] (interval bisection of [0, 1] until
+every box's enclosure lies above a positive bound) and the strict
+diagonal-dominance check of the Jacobian.
 """
 
 from __future__ import annotations
@@ -82,11 +83,9 @@ class Certificate:
 
 @dataclass
 class HCheckReport:
-    """Outcome of the grid positivity proof for h_ell on [0, 1]."""
+    """Outcome of the positivity proof for h_ell on [0, 1]."""
 
     ell: int
-    grid_points: int
-    deriv_bound: float
     lower_bound: float
     verified: bool
     negative_at: float | None = None
@@ -280,64 +279,36 @@ def certify(config: Configuration, rho_star_init: float | None = None) -> Certif
 # ---------------------------------------------------------------------------
 
 _PRESAMPLE = 2001
-_DERIV_PANELS = 64
 # box budget of verify_h_lower_bound's bisection
 _MAX_BOXES = 400000
 
 
-def _h_deriv_bound(ell: int) -> float:
-    """Rigorous bound M with |h_ell'| < M on [0, 1], by interval evaluation
-    of the termwise derivative over coarse panels."""
-    edges = np.linspace(0.0, 1.0, _DERIV_PANELS + 1)
-    panels = Interval(edges[:-1], edges[1:])
-    dv = core.h_ell_deriv(panels, ell, INTERVAL)
-    return float(intervals.up(np.max(dv.mag())))
-
-
-def h_ell_check(ell: int, grid_points: int | None = None) -> HCheckReport:
+def h_ell_check(ell: int) -> HCheckReport:
     """Computer-assisted positivity proof of h_ell on [0, 1].
 
-    A float presample proposes a lower bound m > 0; a rigorous slope bound M
-    and a grid of p points with verified h(s_q) > m and M/p < m then prove
-    h > 0 everywhere.  When the presample dips below zero the routine instead
-    tries to certify a negative value (verified = False either way).
+    A float presample proposes a lower bound m > 0, which interval bisection
+    (:func:`verify_h_lower_bound`) then proves.  When the presample dips
+    below zero the routine instead tries to certify a negative value
+    (verified = False either way).
     """
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
-    if grid_points is not None and grid_points < 1:
-        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     xs = np.linspace(0.0, 1.0, _PRESAMPLE)
     vals = core.h_ell(xs, ell, FLOAT64)
     i_min = int(np.argmin(vals))
     m_est = float(vals[i_min])
-    deriv_bound = _h_deriv_bound(ell)
     if m_est <= 0.0:
         witness = float(core.h_ell(Interval.point(xs[i_min]), ell, INTERVAL).hi)
         refuted = witness < 0.0
         return HCheckReport(
             ell=ell,
-            grid_points=0,
-            deriv_bound=deriv_bound,
             lower_bound=m_est,
             verified=False,
             negative_at=float(xs[i_min]) if refuted else None,
             negative_value=witness if refuted else None,
         )
     m = 0.5 * m_est
-    p = grid_points if grid_points is not None else int(np.ceil(deriv_bound / m)) + 1
-    for _ in range(8):
-        ts = np.linspace(0.0, 1.0, p + 1)
-        spacing = float(np.max(np.diff(ts)))
-        if float(intervals.up(deriv_bound * spacing)) < m:
-            break
-        p *= 2
-    else:
-        return HCheckReport(ell, p, deriv_bound, m, verified=False)
-    grid_vals = core.h_ell(Interval.point(ts[1:]), ell, INTERVAL)
-    ok = bool(np.all(grid_vals.lo > m))
-    return HCheckReport(
-        ell=ell, grid_points=p, deriv_bound=deriv_bound, lower_bound=m, verified=ok
-    )
+    return HCheckReport(ell=ell, lower_bound=m, verified=verify_h_lower_bound(ell, m))
 
 
 def verify_h_lower_bound(ell: int, bound: float) -> bool:

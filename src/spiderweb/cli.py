@@ -53,6 +53,14 @@ def _parse_real(s, name):
     raise ValueError(f"field {name!r} is not a decimal string: {s!r}")
 
 
+def _parse_reals(v, name):
+    """A JSON array of decimal strings; a string is refused, which Python
+    would otherwise read one character at a time."""
+    if type(v) is not list:
+        raise ValueError(f"field {name!r} is not an array: {v!r}")
+    return np.array([_parse_real(x, name) for x in v])
+
+
 def _parse_int(v, name):
     """A JSON integer: not a float such as 2.7 and not a boolean, which
     Python would take as 0 or 1."""
@@ -121,15 +129,14 @@ def parse_document(text: str):
     praw = doc.get("params")
     if not isinstance(praw, dict):
         raise ValueError("document lacks a params object")
-    masses = [_parse_real(m, "masses") for m in praw.get("masses", [])]
     params = SpiderwebParams(
         n=_parse_int(praw.get("n"), "n"),
         ell=_parse_int(praw.get("ell"), "ell"),
         m0=_parse_real(praw.get("m0"), "m0"),
-        masses=np.array(masses),
+        masses=_parse_reals(praw.get("masses"), "masses"),
         lam=_parse_real(praw.get("lambda"), "lambda"),
     )
-    radii = np.array([_parse_real(r, "radii") for r in doc.get("radii", [])])
+    radii = _parse_reals(doc.get("radii"), "radii")
     core.require_cone(radii)
     if radii.size != params.n:
         raise ValueError(f"document has {radii.size} radii but n = {params.n}")
@@ -140,7 +147,7 @@ def parse_document(text: str):
     craw = doc.get("certificate")
     if craw is not None:
         cert = Certificate(
-            center=np.array([_parse_real(x, "center") for x in craw["center"]]),
+            center=_parse_reals(craw["center"], "center"),
             rho_star=_parse_real(craw["rho_star"], "rho_star"),
             Y0=_parse_real(craw["Y0"], "Y0"),
             Z0=_parse_real(craw["Z0"], "Z0"),
@@ -273,13 +280,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_hcheck(args) -> int:
-    if args.grid_points is not None and args.grid_points < 1:
-        raise ValueError(f"hcheck needs --grid-points >= 1, got {args.grid_points}")
-    report = h_ell_check(args.ell, args.grid_points)
+    report = h_ell_check(args.ell)
     payload = {
         "ell": report.ell,
-        "grid_points": report.grid_points,
-        "deriv_bound": _fmt(report.deriv_bound),
         "lower_bound": _fmt(report.lower_bound),
         "verified": report.verified,
         "negative_at": _fmt_opt(report.negative_at),
@@ -343,9 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--convexity-tol", type=float, default=1e-9, dest="convexity_tol")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("hcheck", help="grid positivity proof of h_ell on [0,1]")
+    p = sub.add_parser("hcheck", help="bisection positivity proof of h_ell on [0,1]")
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--grid-points", type=int, default=None, dest="grid_points")
     p.set_defaults(func=cmd_hcheck)
 
     return parser

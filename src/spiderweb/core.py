@@ -3,8 +3,8 @@
 A spiderweb system is n concentric rings of ell equally spaced bodies (equal
 mass per ring) plus an optional central mass.  This module evaluates the
 reduced radial equations: per-ring forces, the residual map whose zeros are
-central configurations, its Jacobian and Hessian, and the per-ring
-proportionality values lambda_i.
+central configurations, its Jacobian and Hessian, the lambda of a massless
+probe ring, and the row-dominance kernel h_ell.
 
 Every formula is written once against a small scalar-kind interface and can
 run either in plain float64 (``FLOAT64``, used by the solver) or in
@@ -39,7 +39,6 @@ __all__ = [
     "hessian_parts",
     "probe_ring_lambda",
     "h_ell",
-    "h_ell_deriv",
     "dominance_row_sums",
     "require_cone",
 ]
@@ -231,36 +230,15 @@ def zeta(ell: int, kind=FLOAT64):
 def h_ell(x, ell: int, kind=FLOAT64):
     """Row-dominance kernel h_ell(x); equals (1-x) phi_1'' - 2 phi_1' with the
     zero k = 0 term dropped, hence finite at x = 1 as well."""
-    xe, c, d2 = _spoke_distances_sq_h(x, ell, kind)
-    s = kind.sqrt(d2)
+    if int(ell) != ell or ell < 2:
+        raise ValueError(f"ell must be an integer >= 2, got {ell}")
+    c = kind.cos_angles(int(ell))[1:]
+    xe = kind.lift(x)[..., None]
+    # d_k(x)^2 = (x - c)^2 + (1 - c)(1 + c) over the spokes k >= 1
+    s = kind.sqrt(kind.square(xe - c) + (1.0 - c) * (1.0 + c))
     p5 = s * kind.square(kind.square(s))
     num = (1.0 - c) * (2.0 * kind.square(xe) + xe * (3.0 - c) - 1.0 - 3.0 * c)
     return kind.sum(num / p5, axis=-1)
-
-
-def h_ell_deriv(x, ell: int, kind=FLOAT64):
-    """Termwise derivative of h_ell, used for rigorous slope bounds."""
-    xe, c, d2 = _spoke_distances_sq_h(x, ell, kind)
-    s = kind.sqrt(d2)
-    s2 = kind.square(s)
-    p7 = s * s2 * kind.square(s2)
-    poly = 2.0 * kind.square(xe) + xe * (3.0 - c) - 1.0 - 3.0 * c
-    num = (1.0 - c) * ((4.0 * xe + 3.0 - c) * d2 - 5.0 * ((xe - c) * poly))
-    return kind.sum(num / p7, axis=-1)
-
-
-def _spoke_distances_sq_h(x, ell, kind):
-    """d_k(x)^2 = (x - c)^2 + (1 - c)(1 + c), c = cos(2 pi k / ell), along a
-    trailing axis over the spokes k >= 1 of h_ell; x = 1 is regular there
-    because the k = 0 spoke is excluded."""
-    if int(ell) != ell or ell < 2:
-        raise ValueError(f"ell must be an integer >= 2, got {ell}")
-    ell = int(ell)
-    c = kind.cos_angles(ell)[1:]
-    x = kind.lift(x)
-    xe = x[..., None]
-    d2 = kind.square(xe - c) + (1.0 - c) * (1.0 + c)
-    return xe, c, d2
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +287,7 @@ def _spoke_sums(ri, rj, cos, kind, want, self_pairs=None):
         if "jac_off" in want:
             num = rirj * (7.0 + c2) - 4.0 * ((ri2 + rj2) * c1)
             add("jac_off", num / p5)
-    if not want.isdisjoint({"hess_diag", "hess_mixed", "hess_outer"}):
+    if not want.isdisjoint({"hess_diag", "hess_mixed"}):
         p7 = s * s2 * s4
         if "hess_diag" in want:
             num = (ri - rj * c1) * (
@@ -324,14 +302,6 @@ def _spoke_sums(ri, rj, cos, kind, want, self_pairs=None):
                 + (ri * rj2) * c3
             )
             add("hess_mixed", num / p7)
-        if "hess_outer" in want:
-            num = (
-                (rj * (8.0 * rj2 + 23.0 * ri2)) * c1
-                - ri * (20.0 * rj2 + 2.0 * ri2)
-                - (ri * (4.0 * rj2 + 6.0 * ri2)) * c2
-                + (ri2 * rj) * c3
-            )
-            add("hess_outer", num / p7)
     return out
 
 
@@ -339,10 +309,10 @@ def _pair_sums(radii, ell, kind, want):
     """Spoke-summed pairwise kernels as (n, n) arrays with zero diagonal.
 
     want is a subset of {"force", "jac_diag", "jac_off", "hess_diag",
-    "hess_mixed", "hess_outer"}; see :func:`_spoke_sums`.  Blocks of target
-    rows (:func:`row_blocks`) hold every source ring and spoke: each (i, j)
-    entry is one pairwise sum over all ell spokes, so the block size changes
-    no float bit (interval ones only within 2^-1020 of zero; see intervals.up).
+    "hess_mixed"}; see :func:`_spoke_sums`.  Blocks of target rows
+    (:func:`row_blocks`) hold every source ring and spoke: each (i, j) entry is
+    one pairwise sum over all ell spokes, so the block size changes no float
+    bit (interval ones only within 2^-1020 of zero; see intervals.up).
     """
     r = kind.lift(radii)
     n = r.shape[0]
@@ -408,14 +378,19 @@ def _hessian_raw(radii, masses, m0, ell, kind):
     z = zeta(ell, kind)
     sqrt2 = kind.sqrt(kind.lift(2.0))
     r4 = kind.square(kind.square(r))
-    sums = _pair_sums(radii, ell, kind, {"hess_diag", "hess_mixed", "hess_outer"})
+    sums = _pair_sums(radii, ell, kind, {"hess_diag", "hess_mixed"})
     diag = (
         (3.0 * (m * z)) / (sqrt2 * r4)
         + (6.0 * m0) / r4
         + 1.5 * kind.sum(sums["hess_diag"] * m[None, :], axis=1)
     )
-    t_mixed = -0.75 * (sums["hess_mixed"] * m[None, :])
-    t_outer = -0.75 * (sums["hess_outer"] * m[None, :])
+    mixed = sums["hess_mixed"]
+    t_mixed = -0.75 * (mixed * m[None, :])
+    # the outer kernel at (i, j) is the mixed one with ri and rj swapped, and
+    # d is symmetric, so mixed[j, i] encloses it over the box
+    n = r.shape[0]
+    i_ix, j_ix = np.ogrid[:n, :n]
+    t_outer = -0.75 * (mixed[j_ix, i_ix] * m[None, :])
     return diag, t_mixed, t_outer
 
 
