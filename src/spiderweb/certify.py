@@ -14,6 +14,11 @@ true configuration lies within rho0 of the numerical one.
 Z2 is bounded by the triangle inequality as max_i (|A| h)_i, where h_m is the
 row mass sum_{l,j} |d^2_{lj} f_m| of the interval Hessian on the ball.
 
+Two balls are tried: first the default ball, 1e-4 of the tightest gap, then,
+if that fails, the ball of radius 4 Y0 / (1 - Z0).  The smaller root of p
+never exceeds 2 Y0 / (1 - Z0), so the second ball holds rho0 whenever p has
+a verified negative value on it, and Z2 grows with the ball.
+
 The module also carries the computer-assisted positivity check of the
 row-dominance kernel h_ell on [0, 1] (interval bisection of [0, 1] until
 every box's enclosure lies above a positive bound) and the strict
@@ -52,9 +57,6 @@ BALL_LEAVES_CONE = "BALL_LEAVES_CONE"
 SINGULAR_JACOBIAN = "SINGULAR_JACOBIAN"
 NON_FINITE_BOUND = "NON_FINITE_BOUND"
 
-# rho* ladder of certify: rho_base halved, then doubled, this many times each
-_RHO_RETRIES = 4
-
 
 class CertificationFailed(RuntimeError):
     def __init__(self, reason: str, message: str, **data):
@@ -86,7 +88,7 @@ class HCheckReport:
     """Outcome of the positivity proof for h_ell on [0, 1]."""
 
     ell: int
-    lower_bound: float
+    lower_bound: float | None  # proved by bisection; None unless verified
     verified: bool
     negative_at: float | None = None
     negative_value: float | None = None
@@ -127,10 +129,10 @@ def _ball_box(center, rho_star):
     return Interval(intervals.down(center - rho_star), intervals.up(center + rho_star))
 
 
-def _require_rho_star(rho_star: float, name: str = "rho_star"):
+def _require_rho_star(rho_star: float):
     """A ball radius that is NaN, infinite or not positive proves nothing."""
     if not (np.isfinite(rho_star) and rho_star > 0):
-        raise ValueError(f"{name} must be finite and positive, got {rho_star}")
+        raise ValueError(f"rho_star must be finite and positive, got {rho_star}")
 
 
 def bound_Z2(a: np.ndarray, center, params: SpiderwebParams, rho_star: float) -> float:
@@ -186,8 +188,8 @@ def radii_poly_check(Y0: float, Z0: float, Z2: float, rho_star: float):
         if disc <= 0.0:
             raise CertificationFailed(
                 NO_NEGATIVE_VALUE,
-                f"negative discriminant {disc:.6g}: p has no real root "
-                "(retry with a smaller rho*)",
+                f"negative discriminant {disc:.6g}: p has no real root, "
+                f"4 Y0 Z2 = {4.0 * Y0 * Z2:.6g} exceeds (1 - Z0)^2 = {(1.0 - Z0) ** 2:.6g}",
                 Y0=Y0, Z0=Z0, Z2=Z2,
             )
         cand = 2.0 * Y0 / ((1.0 - Z0) + np.sqrt(disc))
@@ -203,8 +205,7 @@ def radii_poly_check(Y0: float, Z0: float, Z2: float, rho_star: float):
         rho0 = float(rho0 * (1.0 + 2.0 ** (-50 + 2 * bump)))
     raise CertificationFailed(
         NO_NEGATIVE_VALUE,
-        f"no rho0 <= rho* = {rho_star:.6g} with verified p(rho0) < 0 "
-        "(advice: increase rho*)",
+        f"no rho0 <= rho* = {rho_star:.6g} with verified p(rho0) < 0",
         Y0=Y0, Z0=Z0, Z2=Z2, rho_star=rho_star,
     )
 
@@ -219,16 +220,15 @@ def default_rho_star(center) -> float:
     return 1e-4 * tight
 
 
-def certify(config: Configuration, rho_star_init: float | None = None) -> Certificate:
-    """Assemble A, compute (Y0, Z0, Z2), and run the radii-polynomial check,
-    retrying with rho* halved then doubled when the failure is rho*-related.
+def certify(config: Configuration) -> Certificate:
+    """Assemble A, compute (Y0, Z0, Z2), and run the radii-polynomial check
+    on the default ball, then, when the failure is ball-related, once more
+    on the ball of radius 4 Y0 / (1 - Z0).
 
     Success proves existence and local uniqueness of a true configuration
     within rho0 of the numerical radii."""
     params = config.params
     center = require_cone(config.radii)
-    rho_base = float(rho_star_init) if rho_star_init is not None else default_rho_star(center)
-    _require_rho_star(rho_base, "rho_star_init")
     jac = core.jacobian(params, center, FLOAT64)
     try:
         a = np.linalg.inv(jac)
@@ -249,11 +249,10 @@ def certify(config: Configuration, rho_star_init: float | None = None) -> Certif
         raise CertificationFailed(
             Z0_TOO_LARGE, f"Z0 = {z0:.6g} >= 1 at the given center", Z0=z0
         )
-    ladder = [rho_base * 0.5**i for i in range(_RHO_RETRIES + 1)]
-    ladder += [rho_base * 2.0**i for i in range(1, _RHO_RETRIES + 1)]
-    ladder = [r for r in ladder if np.isfinite(r) and r > 0]  # no over/underflow
-    failure: CertificationFailed | None = None
-    for rho_star in ladder:
+    # the default ball, then one just large enough to hold rho0
+    retry = float(intervals.up(4.0 * y0 / (1.0 - z0)))
+    balls = [default_rho_star(center)] + ([retry] if np.isfinite(retry) and retry > 0 else [])
+    for tries, rho_star in enumerate(balls, 1):
         try:
             z2 = bound_Z2(a, center, params, rho_star)
             rho0, p_hi = radii_poly_check(y0, z0, z2, rho_star)
@@ -267,11 +266,8 @@ def certify(config: Configuration, rho_star_init: float | None = None) -> Certif
                 p_at_rho0=p_hi,
             )
         except CertificationFailed as exc:
-            if exc.reason not in (BALL_LEAVES_CONE, NO_NEGATIVE_VALUE):
+            if tries == len(balls) or exc.reason not in (BALL_LEAVES_CONE, NO_NEGATIVE_VALUE):
                 raise
-            failure = exc
-    assert failure is not None
-    raise failure
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +298,14 @@ def h_ell_check(ell: int) -> HCheckReport:
         refuted = witness < 0.0
         return HCheckReport(
             ell=ell,
-            lower_bound=m_est,
+            lower_bound=None,
             verified=False,
             negative_at=float(xs[i_min]) if refuted else None,
             negative_value=witness if refuted else None,
         )
     m = 0.5 * m_est
-    return HCheckReport(ell=ell, lower_bound=m, verified=verify_h_lower_bound(ell, m))
+    verified = verify_h_lower_bound(ell, m)
+    return HCheckReport(ell=ell, lower_bound=m if verified else None, verified=verified)
 
 
 def verify_h_lower_bound(ell: int, bound: float) -> bool:

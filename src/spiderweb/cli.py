@@ -229,8 +229,7 @@ def cmd_solve(args) -> int:
 def cmd_certify(args) -> int:
     params, radii, residual_norm, _, settings = parse_document(_read_text(args.input))
     config = Configuration(params, radii, residual_norm)
-    rho_star = None if args.rho_star == "auto" else float(args.rho_star)
-    cert = run_certify(config, rho_star_init=rho_star)
+    cert = run_certify(config)
     doc = document_from_config(config, settings, cert)
     _write_text(args.out or args.input, emit_document(doc))
     return EXIT_OK
@@ -283,7 +282,7 @@ def cmd_hcheck(args) -> int:
     report = h_ell_check(args.ell)
     payload = {
         "ell": report.ell,
-        "lower_bound": _fmt(report.lower_bound),
+        "lower_bound": _fmt_opt(report.lower_bound),
         "verified": report.verified,
         "negative_at": _fmt_opt(report.negative_at),
         "negative_value": _fmt_opt(report.negative_value),
@@ -322,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="append a rigorous certificate to a document")
     p.add_argument("--input", required=True)
-    p.add_argument("--rho-star", default="auto", dest="rho_star")
     p.add_argument("--out", default=None, help="defaults to rewriting --input")
     p.set_defaults(func=cmd_certify)
 

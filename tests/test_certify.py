@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spiderweb import certify as cz
-from spiderweb import core, solver
+from spiderweb import core, intervals, solver
 from spiderweb.core import Configuration, SpiderwebParams
 from spiderweb.intervals import Interval, pairwise_sum
 
@@ -192,16 +192,23 @@ def test_non_finite_or_nonpositive_rho_star_is_rejected(rho_star):
     a = np.linalg.inv(core.jacobian(c.params, c.radii))
     with pytest.raises(ValueError, match="finite and positive"):
         cz.bound_Z2(a, c.radii, c.params, rho_star)
-    with pytest.raises(ValueError, match="finite and positive"):
-        cz.certify(c, rho_star_init=rho_star)
 
 
-def test_certify_ladder_stops_before_rho_star_overflow():
-    # the doubling rungs of 1e308 overflow to inf; they are dropped, and the
-    # finite rungs all leave the cone
+def test_certify_skips_a_computed_ball_that_is_not_finite(monkeypatch):
+    # 4 Y0 / (1 - Z0) overflows to inf: only the default ball is tried
     c = solved(2, 5)
-    with pytest.raises(cz.BallLeavesCone):
-        cz.certify(c, rho_star_init=1e308)
+    monkeypatch.setattr(cz, "bound_Y0", lambda *args, **kw: 1e308)
+    real, balls = cz.bound_Z2, []
+
+    def counting(a, center, params, rho_star):
+        balls.append(rho_star)
+        return real(a, center, params, rho_star)
+
+    monkeypatch.setattr(cz, "bound_Z2", counting)
+    with pytest.raises(cz.CertificationFailed) as excinfo:
+        cz.certify(c)
+    assert excinfo.value.reason == cz.NO_NEGATIVE_VALUE
+    assert balls == [cz.default_rho_star(c.radii)]
 
 
 def test_Z2_ball_must_stay_in_cone():
@@ -252,6 +259,7 @@ def test_radii_poly_negative_discriminant():
     with pytest.raises(cz.CertificationFailed) as excinfo:
         cz.radii_poly_check(0.1, 0.5, 1.0, 0.1)
     assert excinfo.value.reason == cz.NO_NEGATIVE_VALUE
+    assert "4 Y0 Z2 = 0.4 exceeds (1 - Z0)^2 = 0.25" in str(excinfo.value)
 
 
 def test_radii_poly_z0_too_large():
@@ -264,7 +272,7 @@ def test_radii_poly_root_beyond_rho_star():
     with pytest.raises(cz.CertificationFailed) as excinfo:
         cz.radii_poly_check(0.1, 0.5, 0.0, 0.15)
     assert excinfo.value.reason == cz.NO_NEGATIVE_VALUE
-    assert "increase" in str(excinfo.value)
+    assert "no rho0 <= rho* = 0.15 with verified p(rho0) < 0" in str(excinfo.value)
 
 
 def test_radii_poly_verifies_in_interval_arithmetic():
@@ -341,11 +349,32 @@ def test_certify_rejects_unordered_center():
         cz.certify(bogus)
 
 
-def test_certify_retry_ladder_reports_rho_star_advice():
+def test_certify_retries_on_the_computed_ball(monkeypatch):
+    # rho0 cannot fit in a default ball of 1e-30, so the retry at
+    # 4 Y0 / (1 - Z0) proves the certificate
     c = solved(2, 5)
-    with pytest.raises(cz.CertificationFailed) as excinfo:
-        cz.certify(c, rho_star_init=1e-30)
-    assert excinfo.value.reason == cz.NO_NEGATIVE_VALUE
+    monkeypatch.setattr(cz, "default_rho_star", lambda center: 1e-30)
+    cert = cz.certify(c)
+    assert cert.rho_star == float(intervals.up(4.0 * cert.Y0 / (1.0 - cert.Z0)))
+    assert cert.rho0 <= cert.rho_star and cert.p_at_rho0 < 0.0
+
+
+def _geometric(n, ell, reverse=False):
+    """Set B's geometric profile: masses 1 -> 1e-9 (or reversed) under m0 = 1e6."""
+    masses = np.geomspace(1.0, 1e-9, n)
+    return solved(n, ell, m0=1e6, masses=masses[::-1] if reverse else masses)
+
+
+@pytest.mark.parametrize("n, ell, reverse", [
+    (12, 40, False), (12, 40, True), (15, 12, False), (20, 30, True),
+], ids=["12-40-1-to-1e-9", "12-40-1e-9-to-1", "15-12-1-to-1e-9", "20-30-1e-9-to-1"])
+def test_certify_geometric_profile_on_the_computed_ball(n, ell, reverse):
+    # the default ball's Z2 leaves p without a negative value; the computed
+    # ball, 4 Y0 / (1 - Z0), is far smaller and its Z2 small enough
+    c = _geometric(n, ell, reverse)
+    cert = cz.certify(c)
+    assert cert.rho_star < cz.default_rho_star(c.radii)
+    assert cert.p_at_rho0 < 0.0 and cert.rho0 <= cert.rho_star
 
 
 def _poison(real, index, part=None):
@@ -416,6 +445,7 @@ def test_Z0_and_Y0_fail_closed_on_nan_enclosures(monkeypatch):
 
 def test_certify_makes_one_interval_pass_at_the_center_and_one_per_rho_star(monkeypatch):
     c = solved(4, 8, masses=[1.0, 0.5, 2.0, 1.5])
+    hard = _geometric(25, 12)
     real = core._pair_sums
     wants = []
 
@@ -425,9 +455,18 @@ def test_certify_makes_one_interval_pass_at_the_center_and_one_per_rho_star(monk
         return real(radii, ell, kind, want)
 
     monkeypatch.setattr(core, "_pair_sums", counting)
+    center = {"force", "jac_diag", "jac_off"}
+    hessian = {"hess_diag", "hess_mixed"}
     cert = cz.certify(c)
     assert cert.rho_star == cz.default_rho_star(c.radii)  # one rho* tried
-    assert wants == [{"force", "jac_diag", "jac_off"}, {"hess_diag", "hess_mixed"}]
+    assert wants == [center, hessian]
+    # set B's (25, 12) geometric profile fails on both balls, and the
+    # failure costs those two Hessian passes, no more
+    wants.clear()
+    with pytest.raises(cz.CertificationFailed) as excinfo:
+        cz.certify(hard)
+    assert excinfo.value.reason == cz.NO_NEGATIVE_VALUE
+    assert wants == [center, hessian, hessian]
 
 
 def test_shared_pass_equals_separate_enclosures_bitwise():
@@ -474,6 +513,7 @@ def test_h_check_verifies_small_ell(ell):
 def test_h_check_refutes_large_ell(ell):
     rep = cz.h_ell_check(ell)
     assert not rep.verified
+    assert rep.lower_bound is None
     assert rep.negative_value is not None and rep.negative_value < 0
     assert 0.0 < rep.negative_at < 1.0
 

@@ -88,13 +88,14 @@ def test_certify_rejects_reversed_radii(tmp_path):
     assert run(["certify", "--input", out]) == EXIT_VALIDATION
 
 
-def test_certify_tiny_rho_star_fails_with_advice(tmp_path, capsys):
+def test_certify_has_no_rho_star_flag(tmp_path):
+    # the balls are computed, so --rho-star is a usage error
     out = tmp_path / "sol.json"
-    run(["solve", "--n", 1, "--ell", 2, "--masses", "equal:1", "--out", out])
-    code = run(["certify", "--input", out, "--rho-star", "1e-30"])
-    assert code == EXIT_CERTIFICATION
-    err = json.loads(capsys.readouterr().err)
-    assert "increase" in err["message"]
+    assert run(["solve", "--n", 2, "--ell", 4, "--masses", "equal:1", "--out", out]) == EXIT_OK
+    with pytest.raises(SystemExit) as excinfo:
+        run(["certify", "--input", out, "--rho-star", "1e-6"])
+    assert excinfo.value.code == EXIT_VALIDATION
+    assert json.loads(out.read_text())["certificate"] is None
 
 
 def test_document_roundtrip_is_byte_identical(tmp_path):
@@ -153,6 +154,7 @@ def test_hcheck_verified_and_refuted(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == keys
     assert payload["verified"] is False
+    assert payload["lower_bound"] is None
     assert float(payload["negative_value"]) < 0
 
 
@@ -326,16 +328,6 @@ def test_scan_rejects_invalid_arguments_before_any_work(tmp_path, capsys, n_max,
     assert err["exit_code"] == EXIT_VALIDATION
     assert ("--jobs" if jobs < 1 else "--n-max") in err["message"]
     assert not out.exists()
-
-
-@pytest.mark.parametrize("rho_star", ["nan", "inf", "0"])
-def test_certify_rejects_bad_rho_star(tmp_path, capsys, rho_star):
-    out = tmp_path / "sol.json"
-    assert run(["solve", "--n", 2, "--ell", 4, "--masses", "equal:1",
-                "--out", out]) == EXIT_OK
-    capsys.readouterr()
-    assert run(["certify", "--input", out, "--rho-star", rho_star]) == EXIT_VALIDATION
-    assert "finite and positive" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_document_with_nan_newton_tol_is_rejected(tmp_path):
