@@ -88,13 +88,17 @@ def test_certify_rejects_reversed_radii(tmp_path):
     assert run(["certify", "--input", out]) == EXIT_VALIDATION
 
 
-def test_certify_has_no_rho_star_flag(tmp_path):
-    # the balls are computed, so --rho-star is a usage error
+def test_certify_tiny_rho_star_fails_with_advice(tmp_path, capsys):
+    # the balls are computed, so --rho-star is a usage error and the usage
+    # line is the advice
     out = tmp_path / "sol.json"
-    assert run(["solve", "--n", 2, "--ell", 4, "--masses", "equal:1", "--out", out]) == EXIT_OK
+    assert run(["solve", "--n", 1, "--ell", 2, "--masses", "equal:1", "--out", out]) == EXIT_OK
+    capsys.readouterr()
     with pytest.raises(SystemExit) as excinfo:
-        run(["certify", "--input", out, "--rho-star", "1e-6"])
+        run(["certify", "--input", out, "--rho-star", "1e-30"])
     assert excinfo.value.code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--rho-star" in err
     assert json.loads(out.read_text())["certificate"] is None
 
 
@@ -328,6 +332,18 @@ def test_scan_rejects_invalid_arguments_before_any_work(tmp_path, capsys, n_max,
     assert err["exit_code"] == EXIT_VALIDATION
     assert ("--jobs" if jobs < 1 else "--n-max") in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rho_star", ["nan", "inf", "0"])
+def test_certify_rejects_bad_rho_star(tmp_path, rho_star):
+    # no value of --rho-star is accepted: the flag is gone
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--n", 2, "--ell", 4, "--masses", "equal:1",
+                "--out", out]) == EXIT_OK
+    with pytest.raises(SystemExit) as excinfo:
+        run(["certify", "--input", out, "--rho-star", rho_star])
+    assert excinfo.value.code == EXIT_VALIDATION
+    assert json.loads(out.read_text())["certificate"] is None
 
 
 def test_document_with_nan_newton_tol_is_rejected(tmp_path):
