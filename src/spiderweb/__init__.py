@@ -31,7 +31,6 @@ from .certify import (
     Certificate,
     CertificationFailed,
     HCheckReport,
-    dominance_check,
     h_ell_check,
 )
 from .analysis import (
@@ -65,7 +64,6 @@ __all__ = [
     "CertificationFailed",
     "BallLeavesCone",
     "HCheckReport",
-    "dominance_check",
     "h_ell_check",
     "SpacingProfile",
     "MassProfile",

@@ -54,6 +54,8 @@ class MassProfile:
 def spacing_profile(config: Configuration, convexity_tol: float = 1e-9) -> SpacingProfile:
     """Relative spacings, relative width, argmax spacing and a second
     difference convexity flag (tolerance absorbs solver noise only)."""
+    if not (np.isfinite(convexity_tol) and convexity_tol >= 0):
+        raise ValueError(f"convexity tolerance must be finite and >= 0, got {convexity_tol}")
     r = config.radii
     if r.size < 2:
         return SpacingProfile(a=np.empty(0), b=0.0, i_star=0, convex=True)
@@ -91,17 +93,31 @@ def kappa(i: int) -> float:
     return abs(osc + math.cos(math.pi * i / 25))
 
 
+def _spec_values(spec: str) -> np.ndarray:
+    """The value of an 'equal:v' spec, or the values of a comma list; each
+    must be a finite positive decimal, whatever n is."""
+    toks = [spec[6:]] if spec.startswith("equal:") else spec.split(",")
+    try:
+        values = np.array([float(tok) for tok in toks if tok.strip()])
+    except ValueError:
+        values = np.empty(0)
+    if values.size == 0 or not np.all(np.isfinite(values) & (values > 0)):
+        raise ValueError(f"mass spec {spec!r} is not 'equal:v', 'inv', 'kappa' or a "
+                         "comma list of finite positive decimals")
+    return values
+
+
 def resolve_masses(mass_spec: str, n: int) -> np.ndarray:
     """Mass vector from a spec string: 'equal:v', 'inv', 'kappa', or an
     explicit comma-separated list of n values."""
     spec = mass_spec.strip()
-    if spec.startswith("equal:"):
-        return np.full(n, float(spec.split(":", 1)[1]))
     if spec == "inv":
         return 1.0 / np.arange(1, n + 1, dtype=np.float64)
     if spec == "kappa":
         return np.array([kappa(i) for i in range(1, n + 1)])
-    values = np.array([float(tok) for tok in spec.split(",") if tok.strip() != ""])
+    values = _spec_values(spec)
+    if spec.startswith("equal:"):
+        return np.full(n, values[0])
     if values.size != n:
         raise ValueError(f"mass list has {values.size} entries but n = {n}")
     return values
@@ -151,11 +167,14 @@ def scan(
 ) -> list[ScanRow]:
     """Build, certify and profile every (n, ell) pair with n <= n_max.
 
-    Rows come back in deterministic order (n ascending, ells as given);
-    failures are recorded in the row status.  jobs > 1 distributes rows over
-    worker processes."""
+    Rows come back in deterministic order (n ascending, ells as given) with
+    failures in the row status; an m0, lam or mass spec that no n can take
+    raises ValueError before any build.  jobs > 1 uses worker processes."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    SpiderwebParams(1, 2, m0, [1.0], lam)  # checks m0 and lam as every row would
+    if mass_spec.strip() not in ("inv", "kappa"):
+        _spec_values(mass_spec.strip())
     tasks = [
         (n, int(ell), mass_spec, m0, lam, settings)
         for n in range(1, n_max + 1)

@@ -21,8 +21,7 @@ a verified negative value on it, and Z2 grows with the ball.
 
 The module also carries the computer-assisted positivity check of the
 row-dominance kernel h_ell on [0, 1] (interval bisection of [0, 1] until
-every box's enclosure lies above a positive bound) and the strict
-diagonal-dominance check of the Jacobian.
+every box's enclosure lies above a positive bound).
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ __all__ = [
     "certify",
     "h_ell_check",
     "verify_h_lower_bound",
-    "dominance_check",
     "default_rho_star",
 ]
 
@@ -100,26 +98,20 @@ def _require_finite(bound: str, what: str, *arrays):
         raise CertificationFailed(NON_FINITE_BOUND, f"{bound}: the {what} is not finite")
 
 
-def bound_Y0(a: np.ndarray, center, params: SpiderwebParams, *, f=None) -> float:
-    """Rigorous upper bound of ||A f(center)||_inf; ``f`` may hold the
-    interval residual at the point center already."""
-    center = require_cone(center)
-    if f is None:
-        f = core.residual(params, Interval.point(center), INTERVAL)
+def bound_Y0(a: np.ndarray, f: Interval) -> float:
+    """Rigorous upper bound of ||A f||_inf for the interval residual f at
+    the center."""
     _require_finite("Y0", "residual enclosure", f.lo, f.hi)
     y0 = intervals.vector_sup_norm(intervals.matmul(a, f))
     _require_finite("Y0", "bound", y0)
     return y0
 
 
-def bound_Z0(a: np.ndarray, center, params: SpiderwebParams, *, jac=None) -> float:
-    """Rigorous upper bound of ||Id - A Df(center)||_inf; ``jac`` may hold
-    the interval Jacobian at the point center already."""
-    center = require_cone(center)
-    if jac is None:
-        jac = core.jacobian(params, Interval.point(center), INTERVAL)
+def bound_Z0(a: np.ndarray, jac: Interval) -> float:
+    """Rigorous upper bound of ||Id - A jac||_inf for the interval Jacobian
+    jac at the center."""
     _require_finite("Z0", "Jacobian enclosure", jac.lo, jac.hi)
-    eye = Interval.point(np.eye(params.n))
+    eye = Interval.point(np.eye(jac.shape[0]))
     z0 = intervals.matrix_sup_norm(eye - intervals.matmul(a, jac))
     _require_finite("Z0", "bound", z0)
     return z0
@@ -160,7 +152,7 @@ def bound_Z2(a: np.ndarray, center, params: SpiderwebParams, rho_star: float) ->
     )
     mass = intervals.up(2.0 * t_mixed.mag() + t_outer.mag())
     np.fill_diagonal(mass, diag.mag())
-    h = intervals.pairwise_sum(mass, axis=1, rounder=intervals.up)
+    h = intervals.pairwise_sum(mass, rounder=intervals.up)
     totals = intervals.matmul(np.abs(a), Interval.point(h)).hi
     _require_finite("Z2", "row totals", totals)
     return float(np.max(totals))
@@ -211,13 +203,8 @@ def radii_poly_check(Y0: float, Z0: float, Z2: float, rho_star: float):
 
 
 def default_rho_star(center) -> float:
-    """Heuristic ball cap: a small fraction of the tightest gap."""
-    center = np.asarray(center, dtype=np.float64)
-    if center.size == 1:
-        tight = center[0]
-    else:
-        tight = min(center[0], float(np.min(np.diff(center))))
-    return 1e-4 * tight
+    """Heuristic ball cap: 1e-4 of the tightest gap, r_1 being the gap from 0."""
+    return 1e-4 * float(np.min(np.diff(center, prepend=0.0)))
 
 
 def certify(config: Configuration) -> Certificate:
@@ -243,8 +230,8 @@ def certify(config: Configuration) -> Certificate:
         raise CertificationFailed(
             NON_FINITE_BOUND, f"interval evaluation at the center failed: {exc}"
         ) from exc
-    y0 = bound_Y0(a, center, params, f=f)
-    z0 = bound_Z0(a, center, params, jac=df)
+    y0 = bound_Y0(a, f)
+    z0 = bound_Z0(a, df)
     if z0 >= 1.0:
         raise CertificationFailed(
             Z0_TOO_LARGE, f"Z0 = {z0:.6g} >= 1 at the given center", Z0=z0
@@ -271,7 +258,7 @@ def certify(config: Configuration) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# positivity of h_ell on [0, 1] and diagonal dominance
+# positivity of h_ell on [0, 1]
 # ---------------------------------------------------------------------------
 
 _PRESAMPLE = 2001
@@ -336,28 +323,3 @@ def verify_h_lower_bound(ell: int, bound: float) -> bool:
         lo = np.concatenate([lo, mid])
         hi = np.concatenate([mid, hi])
     return True
-
-
-def dominance_check(params: SpiderwebParams, radii) -> bool:
-    """Strict diagonal dominance |d_i f_i| > sum_{j != i} |d_j f_i| of the
-    Jacobian, verified in interval arithmetic.
-
-    Tries the direct endpoint comparison first; rows that fail it are retried
-    through the positive-sum row decomposition (which has no cancellation)
-    provided the entry signs are certain."""
-    center = require_cone(radii)
-    jac = core.jacobian(params, Interval.point(center), INTERVAL)
-    n = params.n
-    eye = np.eye(n, dtype=bool)
-    idx = np.arange(n)
-    diag = jac[idx, idx]
-    off_mag = np.where(eye, 0.0, jac.mag())
-    row = intervals.pairwise_sum(off_mag, axis=1, rounder=intervals.up)
-    direct = diag.mig() > row
-    if np.all(direct):
-        return True
-    signs_ok = np.all(diag.hi < 0.0) and np.all(np.where(eye, 1.0, jac.lo) > 0.0)
-    if not signs_ok:
-        return False
-    rows = core.dominance_row_sums(params, Interval.point(center), INTERVAL)
-    return bool(np.all(rows.lo > 0.0))

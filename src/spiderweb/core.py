@@ -39,7 +39,6 @@ __all__ = [
     "hessian_parts",
     "probe_ring_lambda",
     "h_ell",
-    "dominance_row_sums",
     "require_cone",
 ]
 
@@ -163,8 +162,8 @@ class _Float64Kind:
     def square(self, x):
         return x * x
 
-    def sum(self, x, axis=-1):
-        return pairwise_sum(x, axis)
+    def sum(self, x):
+        return pairwise_sum(x)
 
     def where(self, cond, a, b):
         return np.where(cond, self.lift(a), self.lift(b))
@@ -192,8 +191,8 @@ class _IntervalKind:
     def square(self, x):
         return intervals.square(self.lift(x))
 
-    def sum(self, x, axis=-1):
-        return self.lift(x).sum(axis)
+    def sum(self, x):
+        return self.lift(x).sum()
 
     def where(self, cond, a, b):
         a = self.lift(a)
@@ -224,7 +223,7 @@ def zeta(ell: int, kind=FLOAT64):
     if int(ell) != ell or ell < 2:
         raise ValueError(f"ell must be an integer >= 2, got {ell}")
     c = kind.cos_angles(int(ell))[1:]
-    return kind.sum(1.0 / kind.sqrt(1.0 - c), axis=-1)
+    return kind.sum(1.0 / kind.sqrt(1.0 - c))
 
 
 def h_ell(x, ell: int, kind=FLOAT64):
@@ -238,7 +237,7 @@ def h_ell(x, ell: int, kind=FLOAT64):
     s = kind.sqrt(kind.square(xe - c) + (1.0 - c) * (1.0 + c))
     p5 = s * kind.square(kind.square(s))
     num = (1.0 - c) * (2.0 * kind.square(xe) + xe * (3.0 - c) - 1.0 - 3.0 * c)
-    return kind.sum(num / p5, axis=-1)
+    return kind.sum(num / p5)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +273,7 @@ def _spoke_sums(ri, rj, cos, kind, want, self_pairs=None):
     out = {}
 
     def add(name, block):  # summed at once: one kernel's block is live at a time
-        out[name] = kind.sum(block, axis=-1)
+        out[name] = kind.sum(block)
 
     if "force" in want:
         p3 = s * s2
@@ -341,7 +340,7 @@ def _force_per_mass(radii, masses, m0, ell, kind, sums=None):
     r2 = kind.square(r)
     if sums is None:
         sums = _pair_sums(radii, ell, kind, {"force"})
-    inter = kind.sum(sums["force"] * m[None, :], axis=1)
+    inter = kind.sum(sums["force"] * m[None, :])
     return -(((m * z) / sqrt8 + m0) / r2) - inter
 
 
@@ -365,7 +364,7 @@ def _jacobian_raw(radii, masses, m0, lam, ell, kind, *, sums=None):
         lam
         - (m * z) / (sqrt2 * r3)
         - (2.0 * m0) / r3
-        - 0.5 * kind.sum(sums["jac_diag"] * m[None, :], axis=1)
+        - 0.5 * kind.sum(sums["jac_diag"] * m[None, :])
     )
     off = -0.5 * (sums["jac_off"] * m[None, :])
     eye = np.eye(n, dtype=bool)
@@ -382,7 +381,7 @@ def _hessian_raw(radii, masses, m0, ell, kind):
     diag = (
         (3.0 * (m * z)) / (sqrt2 * r4)
         + (6.0 * m0) / r4
-        + 1.5 * kind.sum(sums["hess_diag"] * m[None, :], axis=1)
+        + 1.5 * kind.sum(sums["hess_diag"] * m[None, :])
     )
     mixed = sums["hess_mixed"]
     t_mixed = -0.75 * (mixed * m[None, :])
@@ -448,37 +447,10 @@ def probe_ring_lambda(params: SpiderwebParams, radii, s: float, *, slope=False):
     cos = (FLOAT64.cos_angles(params.ell), FLOAT64.cos_angles(params.ell, 2), None)
     want = {"force", "jac_diag"} if slope else {"force"}
     sums = _spoke_sums(s, radii[:, None], cos, FLOAT64, want)
-    force = -(params.m0 / FLOAT64.square(s)) - FLOAT64.sum(sums["force"] * m, axis=0)
+    force = -(params.m0 / FLOAT64.square(s)) - FLOAT64.sum(sums["force"] * m)
     lam = float(force / s)
     if not slope:
         return lam
     s3 = s * FLOAT64.square(s)
-    dforce = (2.0 * params.m0) / s3 + 0.5 * FLOAT64.sum(sums["jac_diag"] * m, axis=0)
+    dforce = (2.0 * params.m0) / s3 + 0.5 * FLOAT64.sum(sums["jac_diag"] * m)
     return lam, float((dforce - lam) / s)
-
-
-def dominance_row_sums(params: SpiderwebParams, radii, kind=FLOAT64):
-    """Jacobian row sums -d_i f_i - sum_{j != i} d_j f_i, written as the
-    manifestly positive decomposition
-    -lam + m_i zeta/(sqrt2 r_i^3) + 2 m0/r_i^3 + sum_j m_j x^3 h_ell(x)/r_i^3
-    with x = r_i / r_j, evaluated independently of the Jacobian."""
-    radii = _validate_radii(radii)
-    r = kind.lift(radii)
-    n = params.n
-    m = kind.lift(params.masses)
-    eye = np.eye(n, dtype=bool)
-    x = kind.where(eye, 0.5, r[:, None] / r[None, :])
-    x3 = x * kind.square(x)
-    hvals = h_ell(x, params.ell, kind)
-    zero = kind.lift(0.0)
-    pair = kind.where(eye, zero, (x3 * hvals) * m[None, :])
-    pair_row = kind.sum(pair, axis=1)
-    sqrt2 = kind.sqrt(kind.lift(2.0))
-    r3 = r * kind.square(r)
-    z = zeta(params.ell, kind)
-    return (
-        -params.lam
-        + (m * z) / (sqrt2 * r3)
-        + (2.0 * params.m0) / r3
-        + pair_row / r3
-    )

@@ -5,7 +5,9 @@ broadcasts like numpy.  Every arithmetic operation returns an enclosure of the
 exact real result: endpoints are computed with correctly rounded IEEE-754
 double operations and then pushed outward by :func:`down` and :func:`up`, the
 only outward rounding in the package.  :func:`matmul` is its one point-matrix
-product.  Scalars are 0-d arrays.
+product.  Every sum runs over the last axis, by the one pairwise tree of
+:func:`pairwise_sum`: an odd element of a level is carried into the next and
+rounded with it.  Scalars are 0-d arrays.
 
 A point is an interval whose ``lo is hi`` (:meth:`Interval.point`; indexing
 keeps it).  Products and quotients take the fewest endpoint
@@ -126,22 +128,22 @@ def _nonneg(a):
     return bool((a >= 0.0).all())
 
 
-def pairwise_sum(a, axis, rounder=None):
-    """Pairwise (halving-tree) sum, optionally with a directed rounding step
-    applied after every addition.  Both scalar kinds use this same tree so the
-    float result always lies inside the interval enclosure."""
-    a = np.moveaxis(np.asarray(a, dtype=np.float64), axis, 0)
-    if a.shape[0] == 0:
-        return np.zeros(a.shape[1:])
-    while a.shape[0] > 1:
-        k = a.shape[0]
+def pairwise_sum(a, rounder=None):
+    """Pairwise (halving-tree) sum over the last axis, with an optional
+    directed rounding of every level; an odd last element is carried into
+    the next level and rounded with it.  Both scalar kinds use this tree,
+    so a float sum lies inside its interval enclosure."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-1])
+    while a.shape[-1] > 1:
+        k = a.shape[-1]
+        s = np.empty(a.shape[:-1] + ((k + 1) // 2,))
+        np.add(a[..., 0:k - 1:2], a[..., 1:k:2], out=s[..., :k // 2])
         if k % 2:
-            pad = np.zeros((1,) + a.shape[1:])
-            a = np.concatenate([a, pad], axis=0)
-            k += 1
-        s = a[0:k:2] + a[1:k:2]
+            s[..., -1] = a[..., -1]
         a = s if rounder is None else rounder(s)
-    return a[0]
+    return a[..., 0]
 
 
 class Interval:
@@ -255,10 +257,9 @@ class Interval:
 
     # -- reductions --------------------------------------------------------
 
-    def sum(self, axis=-1):
-        lo = pairwise_sum(self.lo, axis, rounder=down)
-        hi = pairwise_sum(self.hi, axis, rounder=up)
-        return Interval._make(np.asarray(lo), np.asarray(hi))
+    def sum(self):
+        lo = pairwise_sum(self.lo, rounder=down)
+        return Interval._make(lo, pairwise_sum(self.hi, rounder=up))
 
 
 def _coerce(x):
@@ -293,17 +294,16 @@ def vector_sup_norm(v: Interval) -> float:
 def matrix_sup_norm(m: Interval) -> float:
     """Rigorous upper bound of the operator sup norm (max row sum) of an
     interval matrix."""
-    row = pairwise_sum(m.mag(), axis=1, rounder=up)
-    return float(np.max(row))
+    return float(np.max(pairwise_sum(m.mag(), rounder=up)))
 
 
 def matmul(a: np.ndarray, x: Interval) -> Interval:
     """Enclosure of A @ x for a float matrix A (treated as exact) and an
     interval vector or matrix x."""
-    a = Interval.point(a)
-    if x.ndim == 1:
-        return (a * x[None, :]).sum(axis=1)
-    return (a[:, :, None] * x[None, :, :]).sum(axis=1)
+    a = Interval.point(a if x.ndim == 1 else a[:, None, :])
+    # (A @ x)[i, j] sums a[i, k] x[k, j] along the last axis of x's transpose
+    xt = x.lo.T
+    return (a * Interval._make(xt, xt if x.lo is x.hi else x.hi.T)).sum()
 
 
 # -- enclosures of cos(2*pi*k/l) ----------------------------------------

@@ -1,27 +1,32 @@
 """Test-only cross-checks of the spoke-sum formulas in ``spiderweb.core``:
 the phi form of forces and Jacobian, built from phi_nu(x) = sum_k d_k(x)^-nu,
-the dense Hessian tensor and the Jacobian row sums, in both scalar kinds;
-the four-endpoint interval product, quotient and square that the lean forms
-of ``spiderweb.intervals`` must reproduce; ring insertion by plain bisection
-of the probe lambda; the per-ring lambda values; and a plain damped Newton
-solve from a given start."""
+the dense Hessian tensor, the Jacobian row sums and their positive
+decomposition through h_ell with the diagonal-dominance check built on it,
+in both scalar kinds; the pairwise sum with its axis moved to the front and
+a zero pad at odd levels, and the four-endpoint interval product, quotient
+and square, that the lean forms of ``spiderweb.intervals`` must reproduce;
+ring insertion by plain bisection of the probe lambda; the per-ring lambda
+values; and a plain damped Newton solve from a given start."""
 
 import numpy as np
 
 from spiderweb import solver
 from spiderweb.core import (
     FLOAT64,
+    INTERVAL,
     CollisionError,
     Configuration,
     SpiderwebParams,
     _force_per_mass,
     _validate_radii,
+    h_ell,
     hessian_parts,
+    jacobian,
     probe_ring_lambda,
     require_cone,
     zeta,
 )
-from spiderweb.intervals import Interval, down, up
+from spiderweb.intervals import Interval, down, pairwise_sum, up
 
 
 def powi_tree(x, p, *, mul, square):
@@ -76,7 +81,7 @@ def phi(nu, x, ell: int, kind=FLOAT64):
         raise ValueError("interval mode supports only integer nu")
     else:
         dpow = d2 ** (nu / 2.0)
-    return kind.sum(1.0 / dpow, axis=-1)
+    return kind.sum(1.0 / dpow)
 
 
 def phi_d1(x, ell: int, kind=FLOAT64):
@@ -84,7 +89,7 @@ def phi_d1(x, ell: int, kind=FLOAT64):
     xe, c, d2 = _spoke_distances_sq(x, ell, kind)
     s = kind.sqrt(d2)
     p3 = s * kind.square(s)
-    return -kind.sum((xe - c) / p3, axis=-1)
+    return -kind.sum((xe - c) / p3)
 
 
 def phi_d2(x, ell: int, kind=FLOAT64):
@@ -92,7 +97,7 @@ def phi_d2(x, ell: int, kind=FLOAT64):
     xe, c, d2 = _spoke_distances_sq(x, ell, kind)
     s = kind.sqrt(d2)
     p5 = s * kind.square(kind.square(s))
-    return -kind.sum((d2 - 3.0 * kind.square(xe - c)) / p5, axis=-1)
+    return -kind.sum((d2 - 3.0 * kind.square(xe - c)) / p5)
 
 
 def force_contribution(i: int, j: int, params: SpiderwebParams, radii, kind=FLOAT64):
@@ -183,7 +188,77 @@ def hessian(params: SpiderwebParams, radii, kind=FLOAT64):
 
 def jacobian_row_sums(jac, kind=FLOAT64):
     """-d_i f_i - sum_{j != i} d_j f_i for every row of a Jacobian matrix."""
-    return -kind.sum(jac, axis=1)
+    return -kind.sum(jac)
+
+
+def dominance_row_sums(params: SpiderwebParams, radii, kind=FLOAT64):
+    """Jacobian row sums -d_i f_i - sum_{j != i} d_j f_i, written as the
+    manifestly positive decomposition
+    -lam + m_i zeta/(sqrt2 r_i^3) + 2 m0/r_i^3 + sum_j m_j x^3 h_ell(x)/r_i^3
+    with x = r_i / r_j, evaluated independently of the Jacobian."""
+    radii = _validate_radii(radii)
+    r = kind.lift(radii)
+    n = params.n
+    m = kind.lift(params.masses)
+    eye = np.eye(n, dtype=bool)
+    x = kind.where(eye, 0.5, r[:, None] / r[None, :])
+    x3 = x * kind.square(x)
+    hvals = h_ell(x, params.ell, kind)
+    zero = kind.lift(0.0)
+    pair = kind.where(eye, zero, (x3 * hvals) * m[None, :])
+    pair_row = kind.sum(pair)
+    sqrt2 = kind.sqrt(kind.lift(2.0))
+    r3 = r * kind.square(r)
+    z = zeta(params.ell, kind)
+    return (
+        -params.lam
+        + (m * z) / (sqrt2 * r3)
+        + (2.0 * params.m0) / r3
+        + pair_row / r3
+    )
+
+
+def dominance_check(params: SpiderwebParams, radii) -> bool:
+    """Strict diagonal dominance |d_i f_i| > sum_{j != i} |d_j f_i| of the
+    Jacobian, verified in interval arithmetic.
+
+    Tries the direct endpoint comparison first; rows that fail it are retried
+    through the positive-sum row decomposition (which has no cancellation)
+    provided the entry signs are certain."""
+    center = require_cone(radii)
+    jac = jacobian(params, Interval.point(center), INTERVAL)
+    n = params.n
+    eye = np.eye(n, dtype=bool)
+    idx = np.arange(n)
+    diag = jac[idx, idx]
+    off_mag = np.where(eye, 0.0, jac.mag())
+    row = pairwise_sum(off_mag, rounder=up)
+    direct = diag.mig() > row
+    if np.all(direct):
+        return True
+    signs_ok = np.all(diag.hi < 0.0) and np.all(np.where(eye, 1.0, jac.lo) > 0.0)
+    if not signs_ok:
+        return False
+    rows = dominance_row_sums(params, Interval.point(center), INTERVAL)
+    return bool(np.all(rows.lo > 0.0))
+
+
+def pairwise_sum_padded(a, axis, rounder=None):
+    """The pairwise sum along any axis, moved to the front, with a zero
+    appended at every odd level; ``intervals.pairwise_sum`` over the last
+    axis must equal it."""
+    a = np.moveaxis(np.asarray(a, dtype=np.float64), axis, 0)
+    if a.shape[0] == 0:
+        return np.zeros(a.shape[1:])
+    while a.shape[0] > 1:
+        k = a.shape[0]
+        if k % 2:
+            pad = np.zeros((1,) + a.shape[1:])
+            a = np.concatenate([a, pad], axis=0)
+            k += 1
+        s = a[0:k:2] + a[1:k:2]
+        a = s if rounder is None else rounder(s)
+    return a[0]
 
 
 def _four_endpoint_hull(p1, p2, p3, p4):

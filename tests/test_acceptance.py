@@ -126,7 +126,7 @@ def test_criterion_4_row_identity(derivative_instances):
     worst = 0.0
     for params, radii in derivative_instances:
         lhs = oracles.jacobian_row_sums(core.jacobian(params, radii))
-        rhs = core.dominance_row_sums(params, radii)
+        rhs = oracles.dominance_row_sums(params, radii)
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
     assert worst < 1e-10
     report(4, f"row sums vs positive decomposition agree to {worst:.1e} (<1e-10)")

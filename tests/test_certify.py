@@ -19,6 +19,16 @@ def solved(n, ell, m0=0.0, masses=None, lam=-1.0, **kw):
     return solver.build_configuration(p, solver.ContinuationSettings(**kw))
 
 
+def residual_at(params, center):
+    """The interval residual at the point center, which bound_Y0 bounds."""
+    return core.residual(params, Interval.point(center), core.INTERVAL)
+
+
+def jacobian_at(params, center):
+    """The interval Jacobian at the point center, which bound_Z0 bounds."""
+    return core.jacobian(params, Interval.point(center), core.INTERVAL)
+
+
 # ---------------------------------------------------------------------------
 # Y0
 # ---------------------------------------------------------------------------
@@ -27,22 +37,22 @@ def test_Y0_small_near_closed_form_solution():
     c = solved(1, 2)
     center = c.radii * (1.0 + 1e-12)
     a = np.linalg.inv(core.jacobian(c.params, center))
-    y0 = cz.bound_Y0(a, center, c.params)
+    y0 = cz.bound_Y0(a, residual_at(c.params, center))
     assert 0.0 < y0 < 1e-10
 
 
 def test_Y0_monotone_in_center_error():
     c = solved(1, 2)
     a = np.linalg.inv(core.jacobian(c.params, c.radii))
-    y_small = cz.bound_Y0(a, c.radii * (1 + 1e-12), c.params)
-    y_big = cz.bound_Y0(a, c.radii * (1 + 1e-6), c.params)
+    y_small = cz.bound_Y0(a, residual_at(c.params, c.radii * (1 + 1e-12)))
+    y_big = cz.bound_Y0(a, residual_at(c.params, c.radii * (1 + 1e-6)))
     assert y_big > y_small
 
 
 def test_Y0_bounds_float_sample():
     c = solved(3, 7, m0=0.3, masses=[1.0, 0.5, 2.0])
     a = np.linalg.inv(core.jacobian(c.params, c.radii))
-    y0 = cz.bound_Y0(a, c.radii, c.params)
+    y0 = cz.bound_Y0(a, residual_at(c.params, c.radii))
     float_val = float(np.max(np.abs(a @ core.residual(c.params, c.radii))))
     assert y0 >= float_val
 
@@ -53,7 +63,7 @@ def test_Y0_bounds_float_sample():
 
 def test_Z0_with_zero_operator_is_norm_of_identity():
     c = solved(2, 3)
-    z0 = cz.bound_Z0(np.zeros((2, 2)), c.radii, c.params)
+    z0 = cz.bound_Z0(np.zeros((2, 2)), jacobian_at(c.params, c.radii))
     assert z0 == pytest.approx(1.0, abs=1e-12)
     assert z0 >= 1.0  # outward rounding never undershoots the exact value
 
@@ -62,14 +72,14 @@ def test_Z0_scalar_cases():
     c = solved(1, 4)
     jac = core.jacobian(c.params, c.radii)
     a = np.linalg.inv(jac)
-    assert cz.bound_Z0(a, c.radii, c.params) < 1e-12
-    assert cz.bound_Z0(2.0 * a, c.radii, c.params) == pytest.approx(1.0, abs=1e-11)
+    assert cz.bound_Z0(a, jacobian_at(c.params, c.radii)) < 1e-12
+    assert cz.bound_Z0(2.0 * a, jacobian_at(c.params, c.radii)) == pytest.approx(1.0, abs=1e-11)
 
 
 def test_Z0_small_at_true_inverse():
     c = solved(4, 9, m0=0.2)
     a = np.linalg.inv(core.jacobian(c.params, c.radii))
-    z0 = cz.bound_Z0(a, c.radii, c.params)
+    z0 = cz.bound_Z0(a, jacobian_at(c.params, c.radii))
     assert z0 < 1e-11
     # soundness: the rigorous bound dominates the plain float evaluation
     float_val = float(np.max(np.sum(np.abs(np.eye(4) - a @ core.jacobian(c.params, c.radii)), axis=1)))
@@ -119,11 +129,13 @@ _FOLD_ROUNDING = 1e-15
 def _dense_Z2_oracle(a, center, params, rho_star):
     """The row fold over the dense (n, n, n) interval Hessian, O(n^4)."""
     hess = oracles.hessian(params, cz._ball_box(np.asarray(center), rho_star), core.INTERVAL)
+    # H[m, l, j] as [l, j, m], so that the sum over m runs along the last axis
+    hess = Interval._make(np.moveaxis(hess.lo, 0, -1), np.moveaxis(hess.hi, 0, -1))
     totals = []
     for i in range(a.shape[0]):
-        row = (Interval.point(a[i])[:, None, None] * hess).sum(axis=0)
+        row = (Interval.point(a[i]) * hess).sum()
         totals.append(pairwise_sum(
-            row.mag().reshape(-1), axis=0, rounder=lambda x: np.nextafter(x, np.inf)
+            row.mag().reshape(-1), rounder=lambda x: np.nextafter(x, np.inf)
         ))
     return float(np.max(totals))
 
@@ -334,8 +346,8 @@ def test_more_polish_never_grows_rho0():
     rho_star = 1e-5
     def rho0_of(center):
         a = np.linalg.inv(core.jacobian(p, center))
-        y0 = cz.bound_Y0(a, center, p)
-        z0 = cz.bound_Z0(a, center, p)
+        y0 = cz.bound_Y0(a, residual_at(p, center))
+        z0 = cz.bound_Z0(a, jacobian_at(p, center))
         z2 = cz.bound_Z2(a, center, p, rho_star)
         return cz.radii_poly_check(y0, z0, z2, rho_star)[0]
     assert rho0_of(fine.radii) <= rho0_of(crude.radii)
@@ -420,18 +432,16 @@ def test_Z2_fails_closed_on_nan_hessian_enclosure(monkeypatch):
 def test_Z0_and_Y0_fail_closed_on_nan_enclosures(monkeypatch):
     c = solved(3, 6)
     a = np.linalg.inv(core.jacobian(c.params, c.radii))
-    jacobian, _ = _poison(core.jacobian, (2, 0))
-    monkeypatch.setattr(core, "jacobian", jacobian)
+    jac = jacobian_at(c.params, c.radii)
+    jac.lo[2, 0] = jac.hi[2, 0] = np.nan
     with pytest.raises(cz.CertificationFailed) as excinfo:
-        cz.bound_Z0(a, c.radii, c.params)
+        cz.bound_Z0(a, jac)
     assert excinfo.value.reason == cz.NON_FINITE_BOUND
-    monkeypatch.undo()
-    residual, _ = _poison(core.residual, (0,))
-    monkeypatch.setattr(core, "residual", residual)
+    f = residual_at(c.params, c.radii)
+    f.lo[0] = f.hi[0] = np.nan
     with pytest.raises(cz.CertificationFailed) as excinfo:
-        cz.bound_Y0(a, c.radii, c.params)
+        cz.bound_Y0(a, f)
     assert excinfo.value.reason == cz.NON_FINITE_BOUND
-    monkeypatch.undo()
     # certify takes both enclosures from one shared pass at the center
     for part, index in ((1, (2, 0)), (0, (0,))):
         shared, calls = _poison(core.residual_and_jacobian, index, part)
@@ -485,16 +495,12 @@ def test_shared_pass_equals_separate_enclosures_bitwise():
             pairs = [(f, f_alone), (df, df_alone)]
         for got, want in pairs:
             assert got.tobytes() == want.tobytes()
-    a = np.linalg.inv(core.jacobian(c.params, c.radii))
-    f, df = core.residual_and_jacobian(c.params, point, core.INTERVAL)
-    assert cz.bound_Y0(a, c.radii, c.params, f=f) == cz.bound_Y0(a, c.radii, c.params)
-    assert cz.bound_Z0(a, c.radii, c.params, jac=df) == cz.bound_Z0(a, c.radii, c.params)
 
 
 def test_Z0_fails_closed_on_overflow():
     c = solved(2, 4)
     with np.errstate(over="ignore"), pytest.raises(cz.CertificationFailed) as excinfo:
-        cz.bound_Z0(np.full((2, 2), 1e308), c.radii, c.params)
+        cz.bound_Z0(np.full((2, 2), 1e308), jacobian_at(c.params, c.radii))
     assert excinfo.value.reason == cz.NON_FINITE_BOUND
 
 
@@ -543,15 +549,15 @@ def test_h_lower_bound_verifier_fails_closed_on_non_finite_enclosure(monkeypatch
 @pytest.mark.parametrize("ell,n", [(2, 3), (5, 2), (9, 4)])
 def test_dominance_small_ell_at_solution(ell, n):
     c = solved(n, ell)
-    assert cz.dominance_check(c.params, c.radii) is True
+    assert oracles.dominance_check(c.params, c.radii) is True
 
 
 def test_dominance_ell10_seventeen_rings_decreasing_masses():
     masses = 1.0 / np.arange(1, 18)
     c = solved(17, 10, masses=masses)
-    assert cz.dominance_check(c.params, c.radii) is True
+    assert oracles.dominance_check(c.params, c.radii) is True
 
 
 def test_dominance_ell18_three_rings():
     c = solved(3, 18)
-    assert cz.dominance_check(c.params, c.radii) is True
+    assert oracles.dominance_check(c.params, c.radii) is True

@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from spiderweb import cli, core, intervals
+from spiderweb import cli, core, intervals, solver
 from spiderweb.cli import (
     EXIT_CERTIFICATION,
     EXIT_OK,
@@ -321,16 +321,35 @@ def test_document_reals_must_be_json_strings(tmp_path, capsys, path, value):
     assert json.loads(capsys.readouterr().err)["exit_code"] == EXIT_VALIDATION
 
 
-@pytest.mark.parametrize("n_max,ells,jobs", [
-    (0, "2,4", 1), (-1, "4", 1), (2, "1", 1), (2, "4,1", 1), (2, ",", 1), (2, "4", 0),
-], ids=["0-2,4", "-1-4", "2-1", "2-4,1", "2-,", "jobs-0"])
-def test_scan_rejects_invalid_arguments_before_any_work(tmp_path, capsys, n_max, ells, jobs):
+@pytest.mark.parametrize("n_max,ells,jobs,extra,named", [
+    (0, "2,4", 1, [], "--n-max"), (-1, "4", 1, [], "--n-max"), (2, "1", 1, [], "--n-max"),
+    (2, "4,1", 1, [], "--n-max"), (2, ",", 1, [], "--n-max"), (2, "4", 0, [], "--jobs"),
+    # what solve rejects with exit 2 whatever n is, scan rejects before any row
+    (2, "4", 1, ["--lambda", "1"], "lambda"), (2, "4", 1, ["--lambda", "nan"], "lambda"),
+    (2, "4", 1, ["--m0", "nan"], "m0"), (2, "4", 1, ["--masses", "bogus"], "mass spec"),
+    (2, "4", 1, ["--masses", "equal:-1"], "mass spec"),
+], ids=["0-2,4", "-1-4", "2-1", "2-4,1", "2-,", "jobs-0", "lambda-1", "lambda-nan",
+        "m0-nan", "masses-bogus", "masses-equal:-1"])
+def test_scan_rejects_invalid_arguments_before_any_work(tmp_path, capsys, monkeypatch,
+                                                        n_max, ells, jobs, extra, named):
+    monkeypatch.setattr(solver, "build_configuration", lambda *args: pytest.fail("built"))
     out = tmp_path / "scan.csv"
     assert run(["scan", "--n-max", n_max, "--ells", ells, "--jobs", jobs,
-                "--out", out]) == EXIT_VALIDATION
+                "--out", out, *extra]) == EXIT_VALIDATION
     err = json.loads(capsys.readouterr().err)
     assert err["exit_code"] == EXIT_VALIDATION
-    assert ("--jobs" if jobs < 1 else "--n-max") in err["message"]
+    assert named in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_analyze_rejects_a_convexity_tolerance_not_finite_and_nonnegative(tmp_path, capsys, tol):
+    # a NaN tolerance read every profile with n >= 4 as non-convex
+    sol, out = tmp_path / "sol.json", tmp_path / "a.csv"
+    assert run(["solve", "--n", 4, "--ell", 4, "--masses", "equal:1", "--out", sol]) == EXIT_OK
+    assert run(["analyze", "--input", sol, "--out", out,
+                "--convexity-tol", tol]) == EXIT_VALIDATION
+    assert "convexity tolerance" in json.loads(capsys.readouterr().err)["message"]
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from spiderweb import intervals
@@ -168,20 +169,36 @@ def test_cos_exact_special_angles():
 def test_directed_pairwise_sum_brackets_exact(xs):
     arr = np.array(xs)
     exact = sum(Fraction(float(v)) for v in xs)
-    up = pairwise_sum(arr, axis=0, rounder=intervals.up)
-    down = pairwise_sum(arr, axis=0, rounder=intervals.down)
+    up = pairwise_sum(arr, rounder=intervals.up)
+    down = pairwise_sum(arr, rounder=intervals.down)
     assert Fraction(float(down)) <= exact <= Fraction(float(up))
     # float-mode tree sits inside the directed bracket
-    plain = pairwise_sum(arr, axis=0)
+    plain = pairwise_sum(arr)
     assert float(down) <= float(plain) <= float(up)
+
+
+@given(st.data(), st.sampled_from([(), (3,), (2, 3), (4, 8)]), st.integers(0, 70),
+       st.sampled_from([None, intervals.up, intervals.down]))
+def test_pairwise_sum_equals_the_padded_tree(data, lead, k, rounder):
+    # (4, 8) makes levels of 256 elements and more, which the successor bound
+    # rounds instead of nextafter; with a rounder even the sign of a zero
+    # matches, as rounding x + 0 and x gives the same bits
+    a = data.draw(arrays(np.float64, lead + (k,), elements=st.floats(width=64)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = oracles.pairwise_sum_padded(a, -1, rounder)
+        got = pairwise_sum(a, rounder)
+    assert got.shape == want.shape == lead
+    assert np.array_equal(got, want, equal_nan=True)
+    if rounder is not None:
+        assert got.tobytes() == want.tobytes()
 
 
 def test_interval_sum_matches_pairwise_tree():
     rng = np.random.default_rng(7)
     arr = rng.standard_normal((5, 13))
     iv = Interval.point(arr)
-    s = iv.sum(axis=1)
-    plain = pairwise_sum(arr, axis=1)
+    s = iv.sum()
+    plain = pairwise_sum(arr)
     assert np.all(s.lo <= plain) and np.all(plain <= s.hi)
 
 
